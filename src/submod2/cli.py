@@ -63,6 +63,7 @@ from .reductions import (
 )
 from .solver import (
     MODE_BRUTE,
+    MODE_EXACT,
     SolveResult,
     brute_force_solve,
     solve_approx,
@@ -79,22 +80,27 @@ def _family_from_json(obj: Any, where: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise CliError(f"{where}: expected an object with a 'kind' field")
     kind = obj["kind"]
-    if kind == "modular":
-        return Modular(tuple(float(v) for v in obj["w"]))
-    if kind == "concave_cardinality":
-        return ConcaveCardinality(tuple(float(v) for v in obj["g"]))
-    if kind == "graph_cut":
-        edges = tuple((int(i), int(j)) for i, j in obj["edges"])
-        weights = tuple(float(w) for w in obj["weights"]) if "weights" in obj else None
-        return GraphCut(edges, weights)
-    if kind == "coverage":
-        covers = tuple(tuple(int(v) for v in cov) for cov in obj["covers"])
-        return Coverage(covers, tuple(float(w) for w in obj["weights"]))
-    if kind == "sum":
-        return Sum(tuple(_family_from_json(p, f"{where}.terms[{k}]")
-                         for k, p in enumerate(obj["terms"])))
-    if kind == "complement":
-        return Complement(_family_from_json(obj["inner"], f"{where}.inner"))
+    try:
+        if kind == "modular":
+            return Modular(tuple(float(v) for v in obj["w"]))
+        if kind == "concave_cardinality":
+            return ConcaveCardinality(tuple(float(v) for v in obj["g"]))
+        if kind == "graph_cut":
+            edges = tuple((int(i), int(j)) for i, j in obj["edges"])
+            weights = tuple(float(w) for w in obj["weights"]) if "weights" in obj else None
+            return GraphCut(edges, weights)
+        if kind == "coverage":
+            covers = tuple(tuple(int(v) for v in cov) for cov in obj["covers"])
+            return Coverage(covers, tuple(float(w) for w in obj["weights"]))
+        if kind == "sum":
+            return Sum(tuple(_family_from_json(p, f"{where}.terms[{k}]")
+                             for k, p in enumerate(obj["terms"])))
+        if kind == "complement":
+            return Complement(_family_from_json(obj["inner"], f"{where}.inner"))
+    except KeyError as exc:
+        raise CliError(f"{where}: {kind} objective needs field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{where}: malformed {kind} objective: {exc}") from exc
     raise CliError(f"{where}: unknown family kind {kind!r}")
 
 
@@ -166,7 +172,12 @@ def parse_instance(source: str | IO[str]) -> Instance:
         raise CliError("exactly one of 'constraints' or 'problem' must be present")
 
     if has_problem:
-        inst = _problem_from_json(doc["problem"], doc["objective"], doc)
+        try:
+            inst = _problem_from_json(doc["problem"], doc["objective"], doc)
+        except KeyError as exc:
+            raise CliError(f"problem: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CliError(f"problem: malformed payload: {exc}") from exc
         if "roundup" in doc and bool(doc["roundup"]) != inst.roundup_declared:
             print(
                 f"note: overriding builder round-up declaration with roundup={doc['roundup']}",
@@ -320,11 +331,12 @@ def _cmd_solve(args) -> int:
         print(f"note: dropped {dropped} vacuous constraint(s)", file=sys.stderr)
     for w in res.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if res.mode in ("ExactMonotone", MODE_BRUTE):
+    if res.mode in (MODE_EXACT, MODE_BRUTE) and res.ratio_bound == 1.0:
         _emit(result_to_json(res, "optimal"))
         return 0
     # an emitted approx status promises ratio_bound <= 2; a voided certificate
-    # (negative objective samples) downgrades to a refusal
+    # (negative objective samples, or an exact solve whose float gap stayed
+    # open) downgrades to a refusal
     if not res.ratio_bound <= 2 + DEFAULT_CONFIG.certificate_tol:
         _emit({"status": "refused",
                "reason": "certificate void: " + "; ".join(res.warnings),

@@ -76,39 +76,68 @@ class _Dinic:
         self.level = [-1] * self.n
         self.level[s] = 0
         q = deque([s])
+        head, to, cap, level = self.head, self.to, self.cap, self.level
         while q:
             u = q.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 1e-12 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
+            for eid in head[u]:
+                v = to[eid]
+                if cap[eid] > 1e-12 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    if v == t:
+                        # every node nearer than t is labelled by now; the rest
+                        # cannot lie on a shortest augmenting path
+                        return True
                     q.append(v)
-        return self.level[t] >= 0
+        return False
 
-    def _dfs(self, u: int, t: int, pushed: float) -> float:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.head[u]):
-            eid = self.head[u][self.it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 1e-12 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[eid]))
-                if got > 0:
-                    self.cap[eid] -= got
-                    self.cap[eid ^ 1] += got
-                    return got
-            self.it[u] += 1
-        return 0.0
+    def _blocking_flow(self, s: int, t: int) -> float:
+        """Saturate the level graph with s-t paths and return the flow pushed.
+
+        Paths are grown on an explicit stack of arc ids, so their length is not
+        bounded by the interpreter's recursion limit.  ``it[u]`` is u's current
+        arc: arcs before it are saturated or lead to dead ends for the rest of
+        the phase.  After a push the search resumes from the tail of the first
+        saturated arc rather than from s.
+        """
+        head, to, cap, level = self.head, self.to, self.cap, self.level
+        it = [0] * self.n
+        flow = 0.0
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[eid] for eid in path)
+                for eid in path:
+                    cap[eid] -= pushed
+                    cap[eid ^ 1] += pushed
+                flow += pushed
+                cut = next(k for k, eid in enumerate(path) if cap[eid] <= 1e-12)
+                u = to[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = head[u]
+            end = len(arcs)
+            k = it[u]
+            want = level[u] + 1
+            while k < end:
+                eid = arcs[k]
+                if cap[eid] > 1e-12 and level[to[eid]] == want:
+                    break
+                k += 1
+            it[u] = k
+            if k < end:
+                path.append(eid)
+                u = to[eid]
+            elif path:
+                u = to[path.pop() ^ 1]  # dead end: retreat and skip the arc
+                it[u] += 1
+            else:
+                return flow
 
     def max_flow(self, s: int, t: int) -> float:
         flow = 0.0
         while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                got = self._dfs(s, t, float("inf"))
-                if got <= 0:
-                    break
-                flow += got
+            flow += self._blocking_flow(s, t)
         return flow
 
     def reachable_from(self, s: int) -> set[int]:

@@ -11,9 +11,15 @@ class SolverConfig:
                         or brute-force solve may visit.
     sfm_bruteforce_cap  largest binary ground set the exhaustive set-function
                         minimizer accepts (2**m evaluations).
-    wolfe_tol           termination tolerance of the min-norm-point solve,
-                        applied to the duality gap and to the squared-norm
-                        improvement between major iterations.
+    wolfe_tol           tolerance of the min-norm-point solve.  Wolfe stops
+                        as soon as its optimality certificate holds: f of the
+                        best threshold set of the iterate x, less the lower
+                        bound f(0) + sum(min(x, 0)), is below 1 for integer
+                        objectives or at most max(10*wolfe_tol, 1e-7) for
+                        float ones.  That difference is the reported
+                        ``duality_gap``.  The tolerance also bounds the Wolfe
+                        gap and the squared-norm improvement between major
+                        iterations, which stop solves that never certify.
     penalty_retries     how often the ring-constrained minimizer doubles its
                         penalty weight before giving up.
     level_budget        cap on the total number of binary level variables a

@@ -2,7 +2,9 @@
 
 Two engines: an exhaustive reference (`sfm_bruteforce`) and a min-norm-point
 solver (`sfm_minnorm`) built from Wolfe's method over the base polytope with
-the greedy linear oracle.  `sfm_over_ring` minimizes among the closed sets of
+the greedy linear oracle, which stops as soon as its duality certificate
+proves the best threshold set of the iterate optimal (within the tolerance,
+for float objectives).  `sfm_over_ring` minimizes among the closed sets of
 a digraph by adding a scaled count of violated arcs, which is itself a
 directed cut function and therefore keeps the objective submodular.
 
@@ -121,6 +123,11 @@ def greedy_base_vertex(f: SetFunctionOracle, order: Sequence[int]) -> np.ndarray
 
 @dataclass
 class MinNormStats:
+    """What one min-norm solve did.  ``evaluations`` counts the distinct
+    points the objective oracle evaluated (its memo size); ``duality_gap`` is
+    the certificate gap of the returned set (see `_certified`) and ``exact``
+    says whether that gap certifies it optimal."""
+
     major_iterations: int = 0
     evaluations: int = 0
     duality_gap: float = 0.0
@@ -128,15 +135,33 @@ class MinNormStats:
     exact: bool = False
 
 
-def _greedy_for_direction(f: SetFunctionOracle, direction: np.ndarray) -> np.ndarray:
-    order = np.argsort(direction, kind="stable")
-    return greedy_base_vertex(f, [int(i) for i in order])
+# Smallest certificate gap asked of a float oracle: below it, rounding in the
+# iterate rather than the solve dominates.
+FLOAT_GAP_FLOOR = 1e-7
+
+
+def _certified(f: SetFunctionOracle, gap: float, tol: float) -> bool:
+    """Optimality certificate of a min-norm iterate.
+
+    ``gap`` is f of the best threshold set of x less the lower bound
+    f(0) + sum(min(x, 0)).  Integer-valued oracles are solved exactly once it
+    drops below 1; float oracles once it is within max(10*tol, FLOAT_GAP_FLOOR).
+    """
+    if f.integer_valued:
+        return gap < 1.0 - 1e-6
+    return gap <= max(10 * tol, FLOAT_GAP_FLOOR)
 
 
 def _affine_minimizer(V: list[np.ndarray]) -> np.ndarray:
     """Coefficients of the min-norm point of the affine hull of V (sum to 1)."""
     k = len(V)
     B = np.stack(V, axis=1)
+    # The coefficients are invariant under scaling B, and B^T B with entries
+    # near M^2 (large penalty weights) would swamp the ones row of the KKT
+    # system, so solve it at unit scale.
+    scale = float(np.abs(B).max())
+    if scale > 0:
+        B = B / scale
     A = np.zeros((k + 1, k + 1))
     A[:k, :k] = B.T @ B
     A[:k, k] = 1.0
@@ -154,16 +179,22 @@ def _affine_minimizer(V: list[np.ndarray]) -> np.ndarray:
 def _wolfe_min_norm(f: SetFunctionOracle, tol: float, iter_cap: int) -> tuple[np.ndarray, MinNormStats]:
     """Wolfe's method for the min-norm point of the base polytope of f - f(0)."""
     stats = MinNormStats()
-    x = _greedy_for_direction(f, np.zeros(f.m))
+    x = greedy_base_vertex(f, range(f.m))
     V: list[np.ndarray] = [x.copy()]
     lam = np.array([1.0])
     prev_norm = float(x @ x)
     while stats.major_iterations < iter_cap:
         stats.major_iterations += 1
-        q = _greedy_for_direction(f, x)
+        order = np.argsort(x, kind="stable")
+        q = greedy_base_vertex(f, order)
         gap = float(x @ x - x @ q)
         stats.duality_gap = gap
         if gap <= tol:
+            break
+        # q walks the threshold sets of x, so its prefix sums along that order
+        # are their values less f(0): the certificate costs no oracle call.
+        best = min(0.0, float(np.cumsum(q[order]).min()))
+        if _certified(f, best - float(np.minimum(x, 0.0).sum()), tol):
             break
         V.append(q)
         lam = np.append(lam, 0.0)
@@ -242,17 +273,14 @@ def _minnorm_detailed(
     # close x is to the true min-norm point.
     lower = f(0) + float(np.minimum(x, 0.0).sum())
     gap = val - lower
-    if f.integer_valued:
-        if gap < 1.0 - 1e-6:
-            stats.exact = True
-        else:
-            raise ConvergenceError(
-                f"min-norm point did not close the integer duality gap (gap={gap:.3g}); "
-                "the oracle is numerically hostile or not submodular"
-            )
-    else:
-        stats.exact = gap <= max(10 * tol, 1e-7)
+    stats.exact = _certified(f, gap, tol)
+    if f.integer_valued and not stats.exact:
+        raise ConvergenceError(
+            f"min-norm point did not close the integer duality gap (gap={gap:.3g}); "
+            "the oracle is numerically hostile or not submodular"
+        )
     stats.duality_gap = gap
+    stats.evaluations = len(f._cache)
     return mask, val, stats
 
 
@@ -324,7 +352,9 @@ def _ring_detailed(
         total_stats.exact = stats.exact
         total_stats.penalty_retries = attempt
         if _count_violations(mask, arc_bits) == 0:
-            return mask, f(mask), total_stats
+            value = f(mask)
+            total_stats.evaluations = len(f._cache)
+            return mask, value, total_stats
         M *= 2
     raise ConvergenceError(
         f"ring-constrained minimization kept violating arcs after {cfg.penalty_retries} penalty doublings"

@@ -47,7 +47,7 @@ from .reductions import (
     decode_levels,
     monotonize,
 )
-from .sfm import MinNormStats, RingFamily, SetFunctionOracle, _ring_detailed
+from .sfm import FLOAT_GAP_FLOOR, MinNormStats, RingFamily, SetFunctionOracle, _ring_detailed
 from .twosat import implications_of_clause, solve_2sat
 
 MODE_EXACT = "ExactMonotone"
@@ -189,6 +189,8 @@ def _stats_dict(system: LevelSystem, stats: MinNormStats) -> dict:
         "fixed": len(system.fixed),
         "dropped_vacuous": system.dropped_vacuous,
         "sfm_iterations": stats.major_iterations,
+        "sfm_evaluations": stats.evaluations,
+        "sfm_exact": stats.exact,
         "penalty_retries": stats.penalty_retries,
         "duality_gap": stats.duality_gap,
     }
@@ -231,7 +233,18 @@ def solve_exact_monotone(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) 
     if violated:
         raise SolverError(f"internal: exact solution violates constraints {violated}")
     value = inst.objective(x)
-    return SolveResult(x, value, value, MODE_EXACT, 1.0, True, diagnostics=diagnostics)
+    if inst.objective.integer_valued:
+        return SolveResult(x, value, value, MODE_EXACT, 1.0, True, diagnostics=diagnostics)
+    # A float solve is only as good as its certificate: the inner gap bounds
+    # how far the value can sit above the optimum, whatever the tolerance.
+    gap = max(solved.stats.duality_gap, 0.0)
+    lower = value - gap
+    if gap <= FLOAT_GAP_FLOOR:
+        return SolveResult(x, value, lower, MODE_EXACT, 1.0, True, diagnostics=diagnostics)
+    ratio = value / lower if lower > cfg.certificate_tol else float("inf")
+    warning = (f"inner duality gap {gap:.3g} left open (wolfe_tol={cfg.wolfe_tol:g}); "
+               "the value is certified only to within that gap")
+    return SolveResult(x, value, lower, MODE_EXACT, ratio, True, (warning,), diagnostics)
 
 
 # ---------------------------------------------------------------------------

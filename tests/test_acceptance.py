@@ -6,12 +6,14 @@ print.  Every gate checks the solver against an independent reference
 the assertions; nothing is calibrated after the fact.
 """
 
+import json
 import random
 
 import numpy as np
 import pytest
 
 import submod2 as s
+from submod2.cli import instance_to_json, main
 
 import gen
 
@@ -278,3 +280,35 @@ def test_gate_10_structure_verifiers():
     assert not s.verify_submodular(negated_cut)
     report(10, "structure verifiers", f"{checked} families accepted, "
                                       "square and negated cut rejected")
+
+
+def test_gate_11_loose_tolerance_certificates_stay_sound(tmp_path, capsys):
+    """At --tol 0.5 the exact route stops with its float gap open; the lower
+    bound must stay below the optimum and "optimal" must never be claimed
+    above it."""
+    rng = random.Random("loose-tolerance")
+    n = 10
+    ground = s.GroundSet.binary(n)
+    path = tmp_path / "inst.json"
+    open_gaps = optimal = 0
+    for k in range(200):
+        w = tuple(rng.uniform(-2, 2) for _ in range(n))
+        table = [0.0]
+        for d in sorted((rng.uniform(0, 2) for _ in range(n)), reverse=True):
+            table.append(table[-1] + d)
+        f = s.make_family(s.Sum((s.Modular(w), s.ConcaveCardinality(tuple(table)))), ground)
+        arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(3, 12))}
+        inst = s.Instance(ground, tuple(s.Constraint.pair(i, 1, j, -1, 0) for i, j in arcs if i != j), f)
+        opt = s.brute_force_solve(inst).value
+        path.write_text(json.dumps(instance_to_json(inst)))
+        code = main(["solve", str(path), "--tol", "0.5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (0, 3), doc
+        assert doc["lower_bound"] <= opt + TOL, f"instance {k}: {doc['lower_bound']} > OPT {opt}"
+        if doc["status"] == "optimal":
+            assert doc["value"] <= opt + 1e-7, f"instance {k}: optimal {doc['value']} > OPT {opt}"
+            optimal += 1
+        open_gaps += doc["value"] > opt + 1e-7
+    assert open_gaps > 0  # the tolerance is loose enough to leave gaps open
+    report(11, "loose-tolerance certificates", f"200 instances at --tol 0.5, {optimal} optimal, "
+                                               f"{open_gaps} with an open gap, every bound sound")

@@ -309,3 +309,51 @@ def test_cli_runs_as_module(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["status"] == "approx"
+
+
+@pytest.mark.parametrize("objective", [
+    {"kind": "modular"},
+    {"kind": "modular", "w": [1, "x"]},
+])
+def test_malformed_objective_reports_error_json(tmp_path, capsys, objective):
+    doc = {"n": 2, "objective": objective,
+           "constraints": [{"i": 0, "a": 1, "j": 1, "b": 1, "c": 1}]}
+    code, out, _ = run_main(capsys, ["solve", write(tmp_path, doc)])
+    assert code == 1
+    assert out["status"] == "error"
+    assert "modular" in out["message"]
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "vertex_cover"},
+    {"kind": "min_2sat", "n": 2, "clauses": [[1, "y"]]},
+])
+def test_malformed_problem_reports_error_json(tmp_path, capsys, problem):
+    doc = {"objective": {"kind": "modular", "w": [1, 1]}, "problem": problem}
+    code, out, _ = run_main(capsys, ["solve", write(tmp_path, doc)])
+    assert code == 1
+    assert out["status"] == "error"
+    assert out["message"].startswith("problem:")
+
+
+def test_open_float_gap_is_not_reported_optimal(tmp_path, capsys):
+    # at --tol 0.5 the exact route stops at x = 0 with value 0 while the
+    # optimum is -0.22: the gap is open, so the answer is no optimum
+    doc = {"n": 4,
+           "objective": {"kind": "sum", "terms": [
+               {"kind": "modular", "w": [-1.27, 0.65, -0.66, -1.21]},
+               {"kind": "concave_cardinality", "g": [0.0, 0.99, 1.97, 2.93, 3.85]}]},
+           "constraints": [{"i": 1, "a": 1, "j": 0, "b": -1, "c": 0},
+                           {"i": 2, "a": 1, "j": 1, "b": -1, "c": 0}]}
+    path = write(tmp_path, doc)
+    opt = s.brute_force_solve(parse_instance(path)).value
+    assert opt == pytest.approx(-0.22)
+    code, out, err = run_main(capsys, ["solve", path, "--tol", "0.5"])
+    assert (code, out["status"]) == (3, "refused")
+    assert out["value"] > opt + 0.1
+    assert out["lower_bound"] <= opt
+    assert "gap" in err
+    code, out, _ = run_main(capsys, ["solve", path])
+    assert (code, out["status"]) == (0, "optimal")
+    assert out["value"] == pytest.approx(opt)
+    assert out["diagnostics"]["sfm_exact"] is True

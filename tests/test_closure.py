@@ -203,3 +203,13 @@ def test_bipartite_cover_matches_bruteforce():
 def test_bipartite_cover_rejects_bad_edges():
     with pytest.raises(ValidationError):
         bisubmodular_vc_bipartite(2, 2, [(0, 2)], cardinality(2), cardinality(2))
+
+
+def test_linear_closure_solves_long_chains():
+    # every augmenting path runs the length of the chain; a recursive search
+    # exceeded the interpreter's recursion limit near 1000 nodes
+    n = 3000
+    weights = [n + 5] + [-1] * (n - 1)
+    closure, value = solve_linear_closure_mincut(weights, [(i, i + 1) for i in range(n - 1)])
+    assert closure == frozenset(range(n))
+    assert value == 6

@@ -426,3 +426,35 @@ def test_solve_auto_dispatches_on_classification():
     monotone_inst = mk(GroundSet((2, 2)), (Constraint.pair(0, 1, 1, -1, 0),), s.Modular((1, -2)))
     assert solve_auto(monotone_inst).mode == MODE_EXACT
     assert solve_auto(triangle_vc()).mode == MODE_APPROX
+
+
+@pytest.mark.parametrize("scale", [1, 100, 1e5])
+def test_large_weights_solve_at_every_scale(scale):
+    # a vertex cover whose min-norm solve stalled with a gap of hundreds once
+    # its weights reached the hundreds; the answer must scale with the weights
+    g = s.GraphSpec(6, ((0, 5), (1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)))
+    w = tuple(v * scale for v in (4, 1, 4, 3, 1, 1))
+    covers = ((1, 4, 7), (3, 6, 7), (8,), (6,), (3, 4, 5), (5,))
+    items = tuple(v * scale for v in (2, 3, 1, 2, 4, 4, 2, 2, 1))
+    f = s.make_family(s.Sum((s.Modular(w), s.Coverage(covers, items))), GroundSet.binary(6))
+    inst = s.build_vertex_cover(g, f)
+    res = solve_auto(inst)
+    assert res.value == 25 * scale
+    assert res.lower_bound <= brute_force_solve(inst).value == 15 * scale
+
+
+def test_tight_tolerance_stops_on_the_certificate():
+    # min-2SAT at wolfe_tol=1e-12: Wolfe ran on to its cap of 2440 iterations
+    # before it stopped on the optimality certificate
+    cnf = s.CnfSpec(6, ((-2, -3), (-2, -6), (2, 6), (-6, -2), (-3, 4), (-3, -5), (-4, 2)))
+    covers = ((2, 7, 11), (5,), (0, 10), (10,), (3, 9), (3, 11))
+    items = (2, 4, 3, 2, 3, 3, 4, 2, 1, 1, 2, 4)
+    f = s.make_family(s.Sum((s.Modular((4, 1, 3, 5, 1, 2)), s.Coverage(covers, items))),
+                      GroundSet.binary(6))
+    inst = s.build_min2sat(cnf, f)
+    res = solve_auto(inst, cfg=s.SolverConfig(wolfe_tol=1e-12))
+    d = res.diagnostics
+    assert d["sfm_iterations"] < 100
+    assert d["sfm_exact"] is True and d["duality_gap"] < 1
+    assert 0 < d["sfm_evaluations"] < 2 ** d["level_count"]
+    assert res.value == brute_force_solve(inst).value
