@@ -54,13 +54,13 @@ from .reductions import (
     Instance,
     LevelSystem,
     Monotonized,
-    binarize_general,
     binarize_monotone,
     build_level_system,
     classify,
     cleared_coefficients,
     decode_levels,
     monotonize,
+    monotonized_system,
 )
 from .solver import (
     MODE_APPROX,

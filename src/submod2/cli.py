@@ -56,12 +56,12 @@ from .problems import (
 )
 from .reductions import (
     Constraint,
-    ConstraintKind,
     Instance,
     build_level_system,
-    monotonize,
+    monotonized_system,
 )
 from .solver import (
+    MODE_APPROX,
     MODE_BRUTE,
     MODE_EXACT,
     SolveResult,
@@ -291,12 +291,11 @@ def _config_from_args(args) -> SolverConfig:
     return cfg
 
 
-def _reduction_document(inst: Instance, cfg: SolverConfig) -> dict:
-    kinds = inst.kinds()
-    monotonized = not (kinds <= {ConstraintKind.MONOTONE, ConstraintKind.SINGLETON})
+def _reduction_document(inst: Instance, monotonized: bool, cfg: SolverConfig) -> dict:
+    """The level system of the exact route (``monotonized`` false) or of the
+    factor-2 route, as a JSON document."""
     if monotonized:
-        mono = monotonize(inst)
-        system = build_level_system(mono.ground, mono.constraints, cfg=cfg)
+        _, system = monotonized_system(inst, cfg=cfg)
     else:
         system = build_level_system(inst.ground, inst.constraints, cfg=cfg)
     out = system.to_json_dict()
@@ -307,6 +306,8 @@ def _reduction_document(inst: Instance, cfg: SolverConfig) -> dict:
 def _cmd_solve(args) -> int:
     inst = parse_instance(args.instance)
     cfg = _config_from_args(args)
+    if args.emit_closure and args.mode == "brute":
+        raise CliError("--emit-closure: the brute-force mode runs no reduction")
     try:
         if args.mode == "exact":
             res = solve_exact_monotone(inst, cfg=cfg)
@@ -320,8 +321,9 @@ def _cmd_solve(args) -> int:
         _emit({"status": "refused", "reason": str(exc)})
         return 3
     if args.emit_closure:
+        doc = _reduction_document(inst, res.mode == MODE_APPROX, cfg)
         with open(args.emit_closure, "w", encoding="utf-8") as fh:
-            json.dump(_reduction_document(inst, cfg), fh, indent=2)
+            json.dump(doc, fh, indent=2)
         print(f"reduction written to {args.emit_closure}", file=sys.stderr)
     if not res.feasible:
         _emit(result_to_json(res, "infeasible"))
@@ -368,7 +370,7 @@ def _cmd_verify(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = parse_instance(args.instance)
     cfg = _config_from_args(args)
-    _emit(_reduction_document(inst, cfg))
+    _emit(_reduction_document(inst, not inst.is_monotone, cfg))
     return 0
 
 
@@ -397,13 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance JSON path, or - for stdin")
         p.add_argument("--tol", type=float, default=None, help="inner solver tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help="accepted for reproducibility bookkeeping; solving is deterministic")
         p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-        p.add_argument("--emit-closure", default=None, metavar="PATH",
-                       help="write the reduction used by the solve to PATH")
         if name == "solve":
             p.add_argument("--mode", choices=("auto", "exact", "approx", "brute"), default="auto")
+            p.add_argument("--emit-closure", default=None, metavar="PATH",
+                           help="write the level system the solve used to PATH")
         p.set_defaults(fn=fn)
     return parser
 

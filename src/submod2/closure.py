@@ -222,13 +222,12 @@ class StClosureGraph:
     source_arcs: tuple[int, ...]
     sink_arcs: tuple[int, ...]
     cut_cost: SetFunctionOracle
-    finite_internal_arcs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         for v in self.source_arcs + self.sink_arcs:
             if not 0 <= v < self.node_count:
                 raise ValidationError(f"terminal arc endpoint {v} out of range")
-        for (i, j) in self.internal_arcs + self.finite_internal_arcs:
+        for (i, j) in self.internal_arcs:
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
                 raise ValidationError(f"internal arc ({i}, {j}) out of range")
         if self.cut_cost.m != len(self.source_arcs) + len(self.sink_arcs):
@@ -244,11 +243,6 @@ def sm_cut_to_closure(graph: StClosureGraph) -> ClosureInstance:
     whenever the cut cost is modular, or splits into independent submodular
     costs on the source-arc block and the sink-arc block.
     """
-    if graph.finite_internal_arcs:
-        raise ValidationError(
-            "finite-cost internal arcs violate the closure-graph requirement: "
-            f"{graph.finite_internal_arcs}"
-        )
     src = list(graph.source_arcs)
     snk = list(graph.sink_arcs)
     k = len(src)

@@ -5,10 +5,11 @@ Constraints are stored uniformly as a*x_i + b*x_j >= c with exact rational
 coefficients.  A constraint is *monotone* when a and b have strictly opposite
 signs; systems of monotone (and singleton) constraints binarize into pure
 precedence arcs between level indicator variables and are solvable exactly as
-closed-set problems.  General constraints additionally produce cover clauses
-(at-least-one) for positive-positive sign patterns and mutual-exclusion
-clauses for negative-negative ones, which together feed the 2-SAT feasibility
-engine.
+closed-set problems.  A general system has one encoding as well: its plus/minus
+duplication (`monotonize`) is monotone, and binarizes into arcs over 2n
+elements.  The factor-2 relaxation minimizes over the closed sets of that arc
+graph, and the same graph read as implications, with each minus-copy level
+standing for the negation of a plus-copy level, is the system's 2-SAT formula.
 
 Level indicators follow the usual threshold convention: the p-th indicator of
 element i is 1 exactly when x_i >= p, so per element the indicators form a
@@ -132,6 +133,13 @@ class Instance:
     def kinds(self) -> set[ConstraintKind]:
         return {classify(c) for c in self.constraints}
 
+    @property
+    def is_monotone(self) -> bool:
+        """True when every constraint is monotone or a singleton: the system
+        then binarizes as it stands and solves exactly; otherwise it is solved
+        through its plus/minus duplication."""
+        return ConstraintKind.NON_MONOTONE not in self.kinds()
+
 
 # ---------------------------------------------------------------------------
 # per-constraint binarization fragments
@@ -143,12 +151,9 @@ Level = tuple[int, int]  # (element, level p >= 1)
 @dataclass
 class Fragment:
     """Binary-level constraints produced from one inequality.  Closure arcs
-    are (lo, hi) pairs meaning lo <= hi; cover clauses demand lo + hi >= 1;
-    exclusion clauses demand at most one of the pair."""
+    are (lo, hi) pairs meaning lo <= hi."""
 
     closure_arcs: list[tuple[Level, Level]] = field(default_factory=list)
-    cover_clauses: list[tuple[Level, Level]] = field(default_factory=list)
-    exclusion_clauses: list[tuple[Level, Level]] = field(default_factory=list)
     fix_one: list[Level] = field(default_factory=list)
     fix_zero: list[Level] = field(default_factory=list)
     infeasible_reason: str | None = None
@@ -158,8 +163,6 @@ class Fragment:
         return (
             self.infeasible_reason is None
             and not self.closure_arcs
-            and not self.cover_clauses
-            and not self.exclusion_clauses
             and not self.fix_one
             and not self.fix_zero
         )
@@ -238,63 +241,6 @@ def binarize_monotone(c: Constraint, ground: GroundSet) -> Fragment:
     return frag
 
 
-def binarize_general(c: Constraint, ground: GroundSet) -> Fragment:
-    """Translate any two-variable inequality into level-indicator constraints.
-
-    Positive-positive constraints become cover clauses: for each level l of
-    x_i, either x_i exceeds l or x_j reaches ceil((c - l*a) / b); a demand
-    beyond x_j's bound pins the x_i indicator to 1, and the l = u_i term
-    becomes an unconditional demand on x_j.  Negative-negative constraints
-    mirror into mutual exclusions between the levels whose combined weight
-    overshoots the slack.  Monotone and singleton constraints route through
-    their own translations.
-    """
-    kind = classify(c)
-    if kind in (ConstraintKind.SINGLETON, ConstraintKind.MONOTONE):
-        return binarize_monotone(c, ground)
-
-    a, b, cc = cleared_coefficients(c)
-    i, j = c.i, c.j
-    u_i, u_j = ground.bounds[i], ground.bounds[j]
-    frag = Fragment()
-
-    if a > 0 and b > 0:
-        if cc <= 0:
-            return frag
-        if cc > a * u_i + b * u_j:
-            return frag._infeasible(f"{c} exceeds the box maximum {a * u_i + b * u_j}")
-        for level in range(0, u_i + 1):
-            need_j = _ceil_div(cc - level * a, b)
-            if need_j <= 0:
-                continue
-            if level < u_i:
-                if need_j > u_j:
-                    frag.fix_one.append((i, level + 1))
-                else:
-                    frag.cover_clauses.append(((i, level + 1), (j, need_j)))
-            else:
-                frag.fix_one.append((j, need_j))  # need_j <= u_j by the box check
-        return frag
-
-    # both coefficients negative: A*x_i + B*x_j <= C with A, B > 0
-    A, B, C = -a, -b, -cc
-    if C < 0:
-        return frag._infeasible(f"{c} is violated by every box point")
-    if C >= A * u_i + B * u_j:
-        return frag
-    for level in range(0, u_i + 1):
-        max_j = _floor_div(C - A * level, B)
-        if max_j >= u_j:
-            continue
-        if level == 0:
-            frag.fix_zero.append((j, max_j + 1))
-        elif max_j < 0:
-            frag.fix_zero.append((i, level))
-        else:
-            frag.exclusion_clauses.append(((i, level), (j, max_j + 1)))
-    return frag
-
-
 # ---------------------------------------------------------------------------
 # assembled level systems
 # ---------------------------------------------------------------------------
@@ -314,8 +260,6 @@ class LevelSystem:
     offsets: tuple[int, ...]
     chain_arcs: list[tuple[int, int]]
     closure_arcs: list[tuple[int, int]]
-    cover_clauses: list[tuple[int, int]]
-    exclusion_clauses: list[tuple[int, int]]
     fixed: dict[int, int]
     infeasible: list[str]
     dropped_vacuous: int
@@ -359,8 +303,10 @@ class LevelSystem:
             ],
             "chain_arcs": [list(a) for a in self.chain_arcs],
             "closure_arcs": [list(a) for a in self.closure_arcs],
-            "cover_clauses": [list(a) for a in self.cover_clauses],
-            "exclusion_clauses": [list(a) for a in self.exclusion_clauses],
+            # every constraint binarizes into arcs; the clause keys stay in the
+            # document, empty, for readers of its schema
+            "cover_clauses": [],
+            "exclusion_clauses": [],
             "fixed": {str(k): v for k, v in sorted(self.fixed.items())},
             "infeasible": list(self.infeasible),
             "dropped_vacuous": self.dropped_vacuous,
@@ -371,10 +317,10 @@ def build_level_system(
     ground: GroundSet,
     constraints: Iterable[Constraint],
     *,
-    require_monotone: bool = False,
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> LevelSystem:
-    """Binarize a whole constraint system over one ground set.
+    """Binarize a whole monotone constraint system over one ground set; a
+    non-monotone constraint raises (monotonize the instance first).
 
     Vacuous constraints are dropped (counted), box-infeasible ones are
     recorded in ``infeasible`` rather than raised, and conflicting fixings are
@@ -393,8 +339,6 @@ def build_level_system(
         offsets=tuple(offsets),
         chain_arcs=[],
         closure_arcs=[],
-        cover_clauses=[],
-        exclusion_clauses=[],
         fixed={},
         infeasible=[],
         dropped_vacuous=0,
@@ -404,13 +348,8 @@ def build_level_system(
             system.chain_arcs.append((system.var(i, p), system.var(i, p - 1)))
 
     seen_arcs: set[tuple[int, int]] = set()
-    seen_covers: set[tuple[int, int]] = set()
-    seen_excl: set[tuple[int, int]] = set()
     for k, c in enumerate(constraints):
-        kind = classify(c)
-        if require_monotone and kind == ConstraintKind.NON_MONOTONE:
-            raise ValidationError(f"constraint {k} ({c}) is not monotone")
-        frag = binarize_general(c, ground)
+        frag = binarize_monotone(c, ground)
         if frag.infeasible_reason is not None:
             system.infeasible.append(f"constraint {k}: {frag.infeasible_reason}")
             continue
@@ -422,16 +361,6 @@ def build_level_system(
             if arc not in seen_arcs:
                 seen_arcs.add(arc)
                 system.closure_arcs.append(arc)
-        for (p, q) in frag.cover_clauses:
-            clause = tuple(sorted((system.var(*p), system.var(*q))))
-            if clause not in seen_covers:
-                seen_covers.add(clause)
-                system.cover_clauses.append(clause)
-        for (p, q) in frag.exclusion_clauses:
-            clause = tuple(sorted((system.var(*p), system.var(*q))))
-            if clause not in seen_excl:
-                seen_excl.add(clause)
-                system.exclusion_clauses.append(clause)
         for lv in frag.fix_one:
             _merge_fix(system, system.var(*lv), 1, k)
         for lv in frag.fix_zero:
@@ -543,3 +472,13 @@ def monotonize(inst: Instance) -> Monotonized:
             out.append(Constraint.pair(c.i, c.a, n + c.j, -c.b, c.c - c.b * u[c.j]))
             out.append(Constraint.pair(n + c.i, -c.a, c.j, c.b, c.c - c.a * u[c.i]))
     return Monotonized(ground2, tuple(out), inst)
+
+
+def monotonized_system(
+    inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG
+) -> tuple[Monotonized, LevelSystem]:
+    """The duplication of an instance and its level system, the one encoding
+    the factor-2 route reads.  Minus-copy level (n + i, p) is the negation of
+    plus-copy level (i, u_i + 1 - p), so the system has 2 * sum(u) levels."""
+    mono = monotonize(inst)
+    return mono, build_level_system(mono.ground, mono.constraints, cfg=cfg)

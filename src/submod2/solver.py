@@ -6,11 +6,11 @@ Three routes:
   singleton binarize into precedence arcs over level indicators; minimizing
   the lifted objective over the closed sets of that arc graph is exact.
 * `solve_approx` - general systems are duplicated into a purely monotone
-  relaxation over plus/minus copies (`solve_relaxation`); half of the relaxed
+  relaxation over plus/minus copies, binarized once; half of the relaxed
   optimum is a certified lower bound, and a feasible integer point within a
   factor 2 is recovered either by the componentwise max of the two copies
-  (instances declared round-up) or by clamping a 2-SAT witness between the
-  copies (monotone objectives).
+  (instances declared round-up) or by clamping, between the copies, a 2-SAT
+  witness read off the same level system (monotone objectives).
 * `brute_force_solve` - exhaustive reference used by the test suite as the
   independent oracle for both values and feasibility.
 
@@ -41,11 +41,12 @@ from .reductions import (
     ConstraintKind,
     Instance,
     LevelSystem,
+    Monotonized,
     build_level_system,
     classify,
     cleared_coefficients,
     decode_levels,
-    monotonize,
+    monotonized_system,
 )
 from .sfm import FLOAT_GAP_FLOOR, MinNormStats, RingFamily, SetFunctionOracle, _ring_detailed
 from .twosat import implications_of_clause, solve_2sat
@@ -76,14 +77,12 @@ class RelaxationOutcome:
     solve.  ``certified_lower`` is a sound lower bound on the constrained
     optimum: half the relaxed value, less any residual duality gap the inner
     solve left (zero for integer objectives, which are certified exact).
-    ``m_star`` is the half-integral midpoint, kept for diagnostics only.
     """
 
     m_plus: tuple[int, ...]
     m_minus: tuple[int, ...]
     g_value: float
     certified_lower: float
-    m_star: tuple[float, ...]
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -145,8 +144,6 @@ def _solve_levels(
     """
     if system.infeasible:
         return _LevelSolve(None, MinNormStats(), "; ".join(system.infeasible))
-    if system.cover_clauses or system.exclusion_clauses:
-        raise ValidationError("level system is not purely monotone")
     prop = _propagate_fixes(system)
     if prop is None:
         return _LevelSolve(None, MinNormStats(), "contradictory fixings")
@@ -184,8 +181,6 @@ def _stats_dict(system: LevelSystem, stats: MinNormStats) -> dict:
         "level_count": system.level_count,
         "chain_arcs": len(system.chain_arcs),
         "closure_arcs": len(system.closure_arcs),
-        "cover_clauses": len(system.cover_clauses),
-        "exclusion_clauses": len(system.exclusion_clauses),
         "fixed": len(system.fixed),
         "dropped_vacuous": system.dropped_vacuous,
         "sfm_iterations": stats.major_iterations,
@@ -221,7 +216,7 @@ def solve_exact_monotone(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) 
     """Exact minimum for instances whose constraints are all monotone or
     singleton; raises on any other constraint."""
     _require_submodular_claim(inst)
-    system = build_level_system(inst.ground, inst.constraints, require_monotone=True, cfg=cfg)
+    system = build_level_system(inst.ground, inst.constraints, cfg=cfg)
     solved = _solve_levels(system, inst.objective, inst.objective.integer_valued, cfg)
     diagnostics = {"constraints": _constraint_counts(inst), **_stats_dict(system, solved.stats)}
     if solved.counts is None:
@@ -253,7 +248,13 @@ def solve_exact_monotone(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) 
 
 
 def solve_relaxation(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> RelaxationOutcome:
-    """Solve the monotonized duplication exactly.
+    """Solve the monotonized duplication exactly (see `_relax`)."""
+    _require_submodular_claim(inst)
+    return _relax(inst, *monotonized_system(inst, cfg=cfg), cfg)
+
+
+def _relax(inst: Instance, mono: Monotonized, system: LevelSystem, cfg: SolverConfig) -> RelaxationOutcome:
+    """Minimize over the closed sets of the duplication's level system.
 
     The objective over the duplicated point is f(plus counts) + f(minus
     counts); since minus copies are stored in reversed orientation, the minus
@@ -262,9 +263,6 @@ def solve_relaxation(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> R
     optimum, it is preferred, which makes purely monotone instances round to
     their exact optimum.
     """
-    _require_submodular_claim(inst)
-    mono = monotonize(inst)
-    system = build_level_system(mono.ground, mono.constraints, require_monotone=True, cfg=cfg)
     f = inst.objective
     n = inst.ground.n
     u = inst.ground.bounds
@@ -309,7 +307,6 @@ def solve_relaxation(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> R
         m_minus=tuple(-v for v in minus),
         g_value=g_value,
         certified_lower=certified_lower,
-        m_star=tuple((p + m) / 2 for p, m in zip(plus, minus)),
         diagnostics=diagnostics,
     )
 
@@ -359,38 +356,48 @@ def check_feasibility_2sat(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Decide feasibility of the full system and produce an integer witness.
 
-    All constraints binarize into implications, covers, exclusions and unit
-    fixings over level indicators, which is a 2-SAT formula; the chain
-    structure rides along as ordinary implications, so any satisfying
-    assignment decodes to a box point.
+    The formula is the monotonized level system the relaxation minimizes
+    over, 2 * sum(u) levels counted against ``cfg.level_budget`` (see
+    `_witness_2sat`).
     """
-    system = build_level_system(inst.ground, inst.constraints, cfg=cfg)
+    _, system = monotonized_system(inst, cfg=cfg)
+    z = _witness_2sat(inst, system)
+    return z is not None, z
+
+
+def _witness_2sat(inst: Instance, system: LevelSystem) -> tuple[int, ...] | None:
+    """A feasible point of the instance from its monotonized level system, or
+    None when there is none.
+
+    Over threshold indicators the duplication's arcs are implications: each
+    arc a -> b is the clause (not a or b), each fixing a unit clause.  Minus
+    levels are not variables of their own: level (n + i, p) is the negation of
+    plus level (i, u_i + 1 - p), which makes both copies agree, so the plus
+    block of any satisfying assignment decodes to a feasible point.  The
+    chain arcs keep that block a prefix of ones per element.
+    """
     if system.infeasible:
-        return False, None
-    true_lit = lambda v: 2 * v
-    false_lit = lambda v: 2 * v + 1
+        return None
+    n = inst.ground.n
+    plus_levels = system.offsets[n]
+    lit = [2 * v for v in range(plus_levels)]  # literal of each level of the 2n system
+    for i, ub in enumerate(inst.ground.bounds):
+        lit += [2 * system.var(i, ub + 1 - p) + 1 for p in range(1, ub + 1)]
     implications: list[tuple[int, int]] = []
     for (lo, hi) in system.all_arcs():
-        implications += implications_of_clause(false_lit(lo), true_lit(hi))  # lo -> hi
-    for (p, q) in system.cover_clauses:
-        implications += implications_of_clause(true_lit(p), true_lit(q))
-    for (p, q) in system.exclusion_clauses:
-        implications += implications_of_clause(false_lit(p), false_lit(q))
+        implications += implications_of_clause(lit[lo] ^ 1, lit[hi])
     for v, val in system.fixed.items():
-        lit = true_lit(v) if val == 1 else false_lit(v)
-        implications += [(lit ^ 1, lit)]
-    assignment = solve_2sat(system.level_count, implications)
+        unit = lit[v] if val == 1 else lit[v] ^ 1
+        implications.append((unit ^ 1, unit))
+    assignment = solve_2sat(plus_levels, implications)
     if assignment is None:
-        return False, None
-    members = 0
-    for v, val in enumerate(assignment):
-        if val:
-            members |= 1 << v
-    z = decode_levels(system, members)
+        return None
+    members = sum(1 << v for v, val in enumerate(assignment) if val)
+    z = decode_levels(system, members)[:n]
     violated = inst.violated_by(z)
     if violated:
         raise SolverError(f"internal: 2-SAT witness {z} violates constraints {violated}")
-    return True, z
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +442,10 @@ def solve_approx(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> Solve
             "property and the objective does not claim monotonicity; use brute_force_solve "
             "or restate the problem"
         )
+    _require_submodular_claim(inst)
+    mono, system = monotonized_system(inst, cfg=cfg)
     try:
-        relax = solve_relaxation(inst, cfg=cfg)
+        relax = _relax(inst, mono, system, cfg)
     except InfeasibleSystem:
         return _infeasible_result(inst, MODE_APPROX)
 
@@ -445,13 +454,12 @@ def solve_approx(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> Solve
         try:
             x = round_up(relax, inst)
         except RoundUpViolation:
-            feasible, _ = check_feasibility_2sat(inst, cfg=cfg)
-            if not feasible:
+            if _witness_2sat(inst, system) is None:
                 return _infeasible_result(inst, MODE_APPROX, relax.diagnostics)
             raise
     else:
-        feasible, z = check_feasibility_2sat(inst, cfg=cfg)
-        if not feasible:
+        z = _witness_2sat(inst, system)
+        if z is None:
             return _infeasible_result(inst, MODE_APPROX, relax.diagnostics)
         x = round_ell(relax, z, inst)
 
@@ -514,6 +522,6 @@ def brute_force_solve(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> 
 def solve_auto(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """Dispatch on constraint classification: all monotone/singleton goes to
     the exact solver, anything else to the certified approximation."""
-    if inst.kinds() <= {ConstraintKind.MONOTONE, ConstraintKind.SINGLETON}:
+    if inst.is_monotone:
         return solve_exact_monotone(inst, cfg=cfg)
     return solve_approx(inst, cfg=cfg)

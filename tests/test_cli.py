@@ -224,6 +224,40 @@ def test_emit_closure_writes_reduction_file(tmp_path, capsys):
     assert emitted["level_count"] == 6
 
 
+def test_emit_closure_writes_the_system_the_solve_used(tmp_path, capsys):
+    # a monotone system forced onto the factor-2 route solves over its
+    # duplication: 2 * (2 + 2) levels
+    doc = {
+        "n": 2,
+        "bounds": [2, 2],
+        "objective": {"kind": "modular", "w": [1, 2]},
+        "constraints": [{"i": 0, "a": 1, "j": 1, "b": -1, "c": 0}],
+        "roundup": True,
+    }
+    path = write(tmp_path, doc)
+    for mode, monotonized, levels in (("approx", True, 8), ("exact", False, 4), ("auto", False, 4)):
+        target = tmp_path / f"{mode}.json"
+        code, out, _ = run_main(capsys, ["solve", path, "--mode", mode, "--emit-closure", str(target)])
+        assert code == 0
+        assert out["diagnostics"]["level_count"] == levels
+        emitted = json.loads(target.read_text())
+        assert emitted["monotonized"] is monotonized
+        assert emitted["level_count"] == levels
+
+
+def test_emit_closure_only_where_a_reduction_runs(tmp_path, capsys):
+    path = write(tmp_path, TRIANGLE_VC)
+    target = tmp_path / "reduction.json"
+    code, out, _ = run_main(capsys, ["solve", path, "--mode", "brute", "--emit-closure", str(target)])
+    assert code == 1 and out["status"] == "error"
+    assert not target.exists()
+    for command in ("verify", "reduce", "brute"):
+        with pytest.raises(SystemExit):
+            main([command, path, "--emit-closure", str(target)])
+        capsys.readouterr()
+    assert not target.exists()
+
+
 def test_diagnostics_fields_present(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["solve", write(tmp_path, TRIANGLE_VC)])
     d = out["diagnostics"]
@@ -293,7 +327,7 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, TRIANGLE_VC)
     runs = []
     for _ in range(3):
-        code = main(["solve", path, "--seed", "42"])
+        code = main(["solve", path])
         assert code == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1] == runs[2]

@@ -114,19 +114,6 @@ def test_cut_to_closure_single_node_example():
     assert val == 1
 
 
-def test_cut_to_closure_rejects_finite_internal_arcs():
-    graph = StClosureGraph(
-        node_count=2,
-        internal_arcs=(),
-        source_arcs=(0,),
-        sink_arcs=(1,),
-        cut_cost=modular_set([1, 1]),
-        finite_internal_arcs=((0, 1),),
-    )
-    with pytest.raises(ValidationError):
-        sm_cut_to_closure(graph)
-
-
 def test_cut_to_closure_zero_cost_any_closed_set():
     graph = StClosureGraph(
         node_count=3,

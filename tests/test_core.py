@@ -83,6 +83,47 @@ def test_verify_submodular_accepts_modular_rejects_square():
     assert not verify_submodular(square)
 
 
+def test_verify_submodular_bounds_beyond_int16():
+    # a concave table on one element is submodular at every bound; box
+    # coordinates above 32767 once wrapped and broke the lattice ranks
+    bound = 40000
+    table = tuple(-abs(v - bound // 2) for v in range(bound + 2))
+    assert verify_submodular(make_family(ConcaveCardinality(table[:-1]), GroundSet((bound,))))
+    tilted = make_family(Sum((ConcaveCardinality(table), Modular((0, 1)))), GroundSet((bound, 1)))
+    assert verify_submodular(tilted)
+    bump = SubmodularOracle(GroundSet((bound, 1)), lambda x: x[1] * (x[0] >= 39000))
+    assert not verify_submodular(bump)
+
+
+def _submodular_by_all_pairs(f):
+    X = [tuple(int(v) for v in row) for row in s.enumerate_box(f.ground)]
+    for x in X:
+        for y in X:
+            meet = tuple(map(min, x, y))
+            join = tuple(map(max, x, y))
+            if f(x) + f(y) < f(meet) + f(join) - 1e-9:
+                return False
+    return True
+
+
+def test_verify_submodular_matches_the_all_pairs_definition():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(150):
+        ground = GroundSet(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))))
+        if rng.random() < 0.5:
+            table = {}
+            f = SubmodularOracle(ground, lambda x, t=table: t.setdefault(x, rng.randint(-3, 3)))
+        else:
+            g = gen.random_oracle(rng, ground)
+            bump = tuple(rng.randint(0, u) for u in ground.bounds)
+            f = SubmodularOracle(ground, lambda x, g=g, b=bump: g(x) + (x == b))
+        expected = _submodular_by_all_pairs(f)
+        verdicts.add(expected)
+        assert verify_submodular(f) == expected
+    assert verdicts == {True, False}
+
+
 def test_verify_submodular_graph_cut_exhaustive():
     rng = random.Random(7)
     for _ in range(10):

@@ -10,7 +10,6 @@ from submod2 import (
     ConstraintKind,
     GroundSet,
     Instance,
-    binarize_general,
     binarize_monotone,
     build_level_system,
     classify,
@@ -23,25 +22,18 @@ from submod2.errors import ChainViolation, ValidationError
 import gen
 
 
-def fragment_allows(frag, ground, i, j, xi, xj):
-    """Independent semantics of a fragment: evaluate its clauses directly on
-    the threshold indicators of the pair (xi, xj)."""
-    value = {i: xi, j: xj}
+def fragment_allows(frag, x):
+    """Independent semantics of a fragment: evaluate its arcs and fixings
+    directly on the threshold indicators of the point x."""
 
     def ind(level):
         elem, p = level
-        return value[elem] >= p
+        return x[elem] >= p
 
     if frag.infeasible_reason is not None:
         return False
     for (lo, hi) in frag.closure_arcs:
         if ind(lo) and not ind(hi):
-            return False
-    for (p, q) in frag.cover_clauses:
-        if not ind(p) and not ind(q):
-            return False
-    for (p, q) in frag.exclusion_clauses:
-        if ind(p) and ind(q):
             return False
     for lv in frag.fix_one:
         if not ind(lv):
@@ -53,19 +45,28 @@ def fragment_allows(frag, ground, i, j, xi, xj):
 
 
 def roundtrip_check(a, b, c, u_i, u_j):
-    """The feasible (x_i, x_j) pairs of a*x_i + b*x_j >= c must equal the
-    pairs admitted by the binarized fragment."""
+    """The feasible (x_i, x_j) pairs of a*x_i + b*x_j >= c must be exactly the
+    pairs whose agreeing duplicate (x, u - x) both binarized halves of the
+    monotonized constraint admit; a monotone or singleton constraint's own
+    fragment must admit exactly them as well."""
     ground = GroundSet((u_i, u_j))
     con = Constraint.pair(0, a, 1, b, c)
-    frag = binarize_general(con, ground)
+    mono = monotonize(Instance(ground, (con,), s.make_family(s.Modular((0, 0)), ground)))
+    halves = [binarize_monotone(h, mono.ground) for h in mono.constraints]
+    own = binarize_monotone(con, ground) if classify(con) != ConstraintKind.NON_MONOTONE else None
     for xi in range(u_i + 1):
         for xj in range(u_j + 1):
             direct = a * xi + b * xj >= c
-            via_fragment = fragment_allows(frag, ground, 0, 1, xi, xj)
-            assert direct == via_fragment, (
+            via_halves = all(fragment_allows(h, mono.embed((xi, xj))) for h in halves)
+            assert direct == via_halves, (
                 f"{a}*x0 + {b}*x1 >= {c} with bounds ({u_i}, {u_j}) at ({xi}, {xj}): "
-                f"direct={direct} fragment={via_fragment}"
+                f"direct={direct} monotonized={via_halves}"
             )
+            if own is not None:
+                assert direct == fragment_allows(own, (xi, xj)), (
+                    f"{a}*x0 + {b}*x1 >= {c} with bounds ({u_i}, {u_j}) at ({xi}, {xj}): "
+                    f"direct={direct} fragment disagrees"
+                )
 
 
 def test_classify_examples():
@@ -115,47 +116,38 @@ def test_binarize_monotone_trivially_satisfied():
 def test_binarize_monotone_rejects_non_monotone():
     with pytest.raises(ValidationError):
         binarize_monotone(Constraint.pair(0, 1, 1, 1, 1), GroundSet.binary(2))
+    with pytest.raises(ValidationError):
+        build_level_system(GroundSet.binary(2), (Constraint.pair(0, -1, 1, -1, -1),))
 
 
-def test_binarize_general_recovers_cover_clause():
-    frag = binarize_general(Constraint.pair(0, 1, 1, 1, 1), GroundSet.binary(2))
-    assert frag.cover_clauses == [((0, 1), (1, 1))]
-    assert not frag.fix_one and not frag.closure_arcs
-
-
-def test_binarize_general_mixed_fix_and_clause():
-    # 2*x0 + 3*x1 >= 4 with bounds (2, 1): x0 = 0 is impossible (would need
-    # x1 >= 2), so level 1 of x0 is pinned; at x0 <= 1 the clause needs x1
-    frag = binarize_general(Constraint.pair(0, 2, 1, 3, 4), GroundSet((2, 1)))
-    assert frag.fix_one == [(0, 1)]
-    assert frag.cover_clauses == [((0, 2), (1, 1))]
-
-
-def test_binarize_general_exclusion_pair():
-    frag = binarize_general(Constraint.pair(0, -1, 1, -1, -1), GroundSet.binary(2))
-    assert frag.exclusion_clauses == [((0, 1), (1, 1))]
-    assert not frag.cover_clauses
-
-
-def test_binarize_general_vacuous_and_infeasible_edges():
-    assert binarize_general(Constraint.pair(0, 1, 1, 1, 0), GroundSet.binary(2)).vacuous
-    assert binarize_general(Constraint.pair(0, 1, 1, 1, 3), GroundSet.binary(2)).infeasible_reason
-    assert binarize_general(Constraint.pair(0, -1, 1, -1, -5), GroundSet.binary(2)).vacuous
-    assert binarize_general(Constraint.pair(0, -1, 1, -1, 1), GroundSet.binary(2)).infeasible_reason
+def test_roundtrip_vacuous_and_infeasible_edges():
+    # same-sign constraints that no box point violates, or every one does
+    binary = GroundSet.binary(2)
+    for a, b, c, expect in [(1, 1, 0, "vacuous"), (1, 1, 3, "infeasible"),
+                            (-1, -1, -5, "vacuous"), (-1, -1, 1, "infeasible")]:
+        roundtrip_check(a, b, c, 1, 1)
+        inst = Instance(binary, (Constraint.pair(0, a, 1, b, c),),
+                        s.make_family(s.Modular((0, 0)), binary))
+        mono = monotonize(inst)
+        halves = [binarize_monotone(h, mono.ground) for h in mono.constraints]
+        if expect == "vacuous":
+            assert all(h.vacuous for h in halves)
+        else:
+            assert all(h.infeasible_reason for h in halves)
 
 
 def test_binarize_singletons_tighten_bounds():
-    frag = binarize_general(Constraint.single(0, 2, 3), GroundSet((3, 1)))
+    frag = binarize_monotone(Constraint.single(0, 2, 3), GroundSet((3, 1)))
     assert frag.fix_one == [(0, 2)]
-    frag = binarize_general(Constraint.single(0, -2, -3), GroundSet((3, 1)))
+    frag = binarize_monotone(Constraint.single(0, -2, -3), GroundSet((3, 1)))
     assert frag.fix_zero == [(0, 2)]  # x0 <= 1
-    assert binarize_general(Constraint.single(0, 1, 9), GroundSet((3, 1))).infeasible_reason
-    assert binarize_general(Constraint.single(0, 1, -1), GroundSet((3, 1))).vacuous
+    assert binarize_monotone(Constraint.single(0, 1, 9), GroundSet((3, 1))).infeasible_reason
+    assert binarize_monotone(Constraint.single(0, 1, -1), GroundSet((3, 1))).vacuous
 
 
 def test_roundtrip_small_exhaustive_slice():
     # full exhaustive sweep lives in the acceptance suite; keep a fast slice here
-    for a, b in [(1, 1), (2, 3), (1, -1), (-2, 3), (-1, -1), (-3, -2)]:
+    for a, b in [(1, 1), (2, 3), (1, -1), (-2, 3), (-1, -1), (-3, -2), (2, 0), (-3, 0)]:
         for c in range(-5, 6):
             for u_i in (1, 2):
                 for u_j in (1, 3):
@@ -172,15 +164,6 @@ def test_roundtrip_small_exhaustive_slice():
 )
 def test_roundtrip_fuzz(a, b, c, u_i, u_j):
     roundtrip_check(a, b, c, u_i, u_j)
-
-
-def test_monotone_fragments_never_contain_clauses():
-    rng = random.Random(3)
-    for _ in range(200):
-        inst = gen.random_monotone_instance(rng)
-        for con in inst.constraints:
-            frag = binarize_general(con, inst.ground)
-            assert not frag.cover_clauses and not frag.exclusion_clauses
 
 
 def test_build_level_system_assembles_chains_and_dedupes():

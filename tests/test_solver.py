@@ -458,3 +458,25 @@ def test_tight_tolerance_stops_on_the_certificate():
     assert d["sfm_exact"] is True and d["duality_gap"] < 1
     assert 0 < d["sfm_evaluations"] < 2 ** d["level_count"]
     assert res.value == brute_force_solve(inst).value
+
+
+def test_approx_builds_one_level_system(monkeypatch):
+    # the relaxation and 2-SAT read the same monotonized system
+    from submod2 import reductions, solver
+
+    calls = []
+    build = reductions.build_level_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for mod in (reductions, solver):
+        if hasattr(mod, "build_level_system"):
+            monkeypatch.setattr(mod, "build_level_system", counting)
+    cnf = s.CnfSpec(4, ((1, 2), (-1, 3), (-3, -4), (2, 4)))
+    f = s.make_family(s.Modular((1, 2, 1, 3)), GroundSet.binary(4))
+    inst = s.build_min2sat(cnf, f)
+    res = solve_approx(inst)
+    assert res.feasible and not inst.violated_by(res.x)
+    assert len(calls) == 1
