@@ -57,6 +57,7 @@ from .problems import (
 from .reductions import (
     Constraint,
     Instance,
+    LevelSystem,
     build_level_system,
     monotonized_system,
 )
@@ -291,13 +292,9 @@ def _config_from_args(args) -> SolverConfig:
     return cfg
 
 
-def _reduction_document(inst: Instance, monotonized: bool, cfg: SolverConfig) -> dict:
-    """The level system of the exact route (``monotonized`` false) or of the
-    factor-2 route, as a JSON document."""
-    if monotonized:
-        _, system = monotonized_system(inst, cfg=cfg)
-    else:
-        system = build_level_system(inst.ground, inst.constraints, cfg=cfg)
+def _reduction_document(system: LevelSystem, monotonized: bool) -> dict:
+    """A level system as a JSON document; ``monotonized`` says whether it is
+    the duplicated system of the factor-2 route."""
     out = system.to_json_dict()
     out["monotonized"] = monotonized
     return out
@@ -321,7 +318,7 @@ def _cmd_solve(args) -> int:
         _emit({"status": "refused", "reason": str(exc)})
         return 3
     if args.emit_closure:
-        doc = _reduction_document(inst, res.mode == MODE_APPROX, cfg)
+        doc = _reduction_document(res.system, res.mode == MODE_APPROX)
         with open(args.emit_closure, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         print(f"reduction written to {args.emit_closure}", file=sys.stderr)
@@ -370,7 +367,11 @@ def _cmd_verify(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = parse_instance(args.instance)
     cfg = _config_from_args(args)
-    _emit(_reduction_document(inst, not inst.is_monotone, cfg))
+    if inst.is_monotone:
+        system = build_level_system(inst.ground, inst.constraints, cfg=cfg)
+    else:
+        _, system = monotonized_system(inst, cfg=cfg)
+    _emit(_reduction_document(system, not inst.is_monotone))
     return 0
 
 
@@ -398,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance JSON path, or - for stdin")
-        p.add_argument("--tol", type=float, default=None, help="inner solver tolerance")
+        p.add_argument("--tol", type=float, default=None,
+                       help="Wolfe tolerance (objectives without a family spec)")
         p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
         if name == "solve":
             p.add_argument("--mode", choices=("auto", "exact", "approx", "brute"), default="auto")

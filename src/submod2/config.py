@@ -11,7 +11,10 @@ class SolverConfig:
                         or brute-force solve may visit.
     sfm_bruteforce_cap  largest binary ground set the exhaustive set-function
                         minimizer accepts (2**m evaluations).
-    wolfe_tol           tolerance of the min-norm-point solve.  Wolfe stops
+    wolfe_tol           tolerance of the min-norm-point solve, which runs only
+                        on objectives without a family spec (built-in
+                        families are solved by a minimum cut whose gap is
+                        checked against the 1e-7 floor).  Wolfe stops
                         as soon as its optimality certificate holds: f of the
                         best threshold set of the iterate x, less the lower
                         bound f(0) + sum(min(x, 0)), is below 1 for integer

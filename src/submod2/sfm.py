@@ -8,6 +8,11 @@ for float objectives).  `sfm_over_ring` minimizes among the closed sets of
 a digraph by adding a scaled count of violated arcs, which is itself a
 directed cut function and therefore keeps the objective submodular.
 
+The solver runs these engines only on objectives it cannot see into (opaque
+callables); built-in families are minimized by one minimum cut instead
+(`closure.minimize_levels_mincut`), and the two cross-check each other in
+the acceptance gates.
+
 Subsets are frozensets at the public boundary and bitmasks internally.
 """
 
@@ -126,7 +131,8 @@ class MinNormStats:
     """What one min-norm solve did.  ``evaluations`` counts the distinct
     points the objective oracle evaluated (its memo size); ``duality_gap`` is
     the certificate gap of the returned set (see `_certified`) and ``exact``
-    says whether that gap certifies it optimal."""
+    says whether that gap certifies it optimal.  A min-cut solve reports its
+    gap and verdict here too, with zero iterations, evaluations and retries."""
 
     major_iterations: int = 0
     evaluations: int = 0
@@ -140,14 +146,14 @@ class MinNormStats:
 FLOAT_GAP_FLOOR = 1e-7
 
 
-def _certified(f: SetFunctionOracle, gap: float, tol: float) -> bool:
-    """Optimality certificate of a min-norm iterate.
-
-    ``gap`` is f of the best threshold set of x less the lower bound
-    f(0) + sum(min(x, 0)).  Integer-valued oracles are solved exactly once it
-    drops below 1; float oracles once it is within max(10*tol, FLOAT_GAP_FLOOR).
+def _certified(integer_valued: bool, gap: float, tol: float) -> bool:
+    """Optimality certificate of a solve: ``gap`` is the value of the returned
+    set less a proven lower bound (for a min-norm iterate x, f of its best
+    threshold set less f(0) + sum(min(x, 0))).  Integer-valued objectives are
+    solved exactly once it drops below 1; float ones once it is within
+    max(10*tol, FLOAT_GAP_FLOOR).
     """
-    if f.integer_valued:
+    if integer_valued:
         return gap < 1.0 - 1e-6
     return gap <= max(10 * tol, FLOAT_GAP_FLOOR)
 
@@ -194,7 +200,7 @@ def _wolfe_min_norm(f: SetFunctionOracle, tol: float, iter_cap: int) -> tuple[np
         # q walks the threshold sets of x, so its prefix sums along that order
         # are their values less f(0): the certificate costs no oracle call.
         best = min(0.0, float(np.cumsum(q[order]).min()))
-        if _certified(f, best - float(np.minimum(x, 0.0).sum()), tol):
+        if _certified(f.integer_valued, best - float(np.minimum(x, 0.0).sum()), tol):
             break
         V.append(q)
         lam = np.append(lam, 0.0)
@@ -273,7 +279,7 @@ def _minnorm_detailed(
     # close x is to the true min-norm point.
     lower = f(0) + float(np.minimum(x, 0.0).sum())
     gap = val - lower
-    stats.exact = _certified(f, gap, tol)
+    stats.exact = _certified(f.integer_valued, gap, tol)
     if f.integer_valued and not stats.exact:
         raise ConvergenceError(
             f"min-norm point did not close the integer duality gap (gap={gap:.3g}); "

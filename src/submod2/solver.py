@@ -14,10 +14,15 @@ Three routes:
 * `brute_force_solve` - exhaustive reference used by the test suite as the
   independent oracle for both values and feasibility.
 
-The lifted objective evaluates per-element counts of level indicators, which
-extends the multiset function to arbitrary (not only chain-respecting)
-indicator sets; every built-in family has diminishing marginals across
-levels, which keeps that extension submodular.
+Both routes minimize over the closed sets of a level system with one of two
+engines, chosen by the objective.  A built-in family (an oracle carrying a
+``family_spec``) compiles to an s-t graph over the level indicators and is
+minimized by one maximum flow, whose value certifies the optimum
+(`closure.minimize_levels_mincut`).  An opaque callable goes through Wolfe's
+min-norm point with a ring penalty (`sfm`); its lifted objective evaluates
+per-element counts of level indicators, which extends the multiset function
+to arbitrary (not only chain-respecting) indicator sets, and diminishing
+marginals across levels keep that extension submodular.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .closure import minimize_levels_mincut
 from .config import DEFAULT_CONFIG, SolverConfig
-from .core import enumerate_box
+from .core import Complement, FamilySpec, enumerate_box
 from .errors import (
     EnumerationCapExceeded,
     GuaranteeUnavailable,
@@ -48,7 +54,14 @@ from .reductions import (
     decode_levels,
     monotonized_system,
 )
-from .sfm import FLOAT_GAP_FLOOR, MinNormStats, RingFamily, SetFunctionOracle, _ring_detailed
+from .sfm import (
+    FLOAT_GAP_FLOOR,
+    MinNormStats,
+    RingFamily,
+    SetFunctionOracle,
+    _certified,
+    _ring_detailed,
+)
 from .twosat import implications_of_clause, solve_2sat
 
 MODE_EXACT = "ExactMonotone"
@@ -58,6 +71,10 @@ MODE_BRUTE = "BruteForce"
 
 @dataclass
 class SolveResult:
+    """What a solve found.  ``system`` is the level system its route
+    minimized over (the monotonized one for `MODE_APPROX`, none for
+    `MODE_BRUTE`)."""
+
     x: tuple[int, ...] | None
     value: float
     lower_bound: float
@@ -66,6 +83,7 @@ class SolveResult:
     feasible: bool
     warnings: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
+    system: LevelSystem | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -128,7 +146,10 @@ def _propagate_fixes(system: LevelSystem) -> tuple[int, int] | None:
 class _LevelSolve:
     counts: tuple[int, ...] | None
     stats: MinNormStats
+    engine: str
     infeasible_detail: str = ""
+    cut_nodes: int = 0
+    cut_arcs: int = 0
 
 
 def _solve_levels(
@@ -136,17 +157,30 @@ def _solve_levels(
     objective_on_counts,
     integer_valued: bool,
     cfg: SolverConfig,
+    specs: Sequence[FamilySpec] | None,
 ) -> _LevelSolve:
     """Minimize objective(counts) over closed level sets of the system.
 
-    Fixed variables and their implications are contracted away first; the
+    With ``specs`` (one family spec per equal block of elements, together
+    equal to the objective) the minimum is one minimum cut, and a gap above
+    the certificate threshold means the compiled graph is wrong.  Without,
+    fixed variables and their implications are contracted away and the
     remaining free variables go through the ring-constrained min-norm solve.
     """
+    engine = "wolfe" if specs is None else "mincut"
     if system.infeasible:
-        return _LevelSolve(None, MinNormStats(), "; ".join(system.infeasible))
+        return _LevelSolve(None, MinNormStats(), engine, "; ".join(system.infeasible))
     prop = _propagate_fixes(system)
     if prop is None:
-        return _LevelSolve(None, MinNormStats(), "contradictory fixings")
+        return _LevelSolve(None, MinNormStats(), engine, "contradictory fixings")
+    if specs is not None:
+        cut = minimize_levels_mincut(system, specs)
+        counts = decode_levels(system, cut.members)
+        gap = objective_on_counts(counts) - cut.lower
+        if not _certified(integer_valued, gap, 0.0):
+            raise SolverError(f"internal: minimum cut left a certificate gap of {gap:.3g}")
+        return _LevelSolve(counts, MinNormStats(duality_gap=gap, exact=True), engine,
+                           cut_nodes=cut.nodes, cut_arcs=cut.arcs)
     must_in, must_out = prop
     free = [v for v in range(system.level_count) if not ((must_in | must_out) >> v) & 1]
     pos = {v: k for k, v in enumerate(free)}
@@ -173,16 +207,20 @@ def _solve_levels(
     )
     mask, _, stats = _ring_detailed(oracle, ring, cfg)
     counts = decode_levels(system, expand(mask))
-    return _LevelSolve(counts, stats)
+    return _LevelSolve(counts, stats, engine)
 
 
-def _stats_dict(system: LevelSystem, stats: MinNormStats) -> dict:
+def _stats_dict(system: LevelSystem, solved: _LevelSolve) -> dict:
+    stats = solved.stats
     return {
         "level_count": system.level_count,
         "chain_arcs": len(system.chain_arcs),
         "closure_arcs": len(system.closure_arcs),
         "fixed": len(system.fixed),
         "dropped_vacuous": system.dropped_vacuous,
+        "engine": solved.engine,
+        "cut_nodes": solved.cut_nodes,
+        "cut_arcs": solved.cut_arcs,
         "sfm_iterations": stats.major_iterations,
         "sfm_evaluations": stats.evaluations,
         "sfm_exact": stats.exact,
@@ -217,29 +255,33 @@ def solve_exact_monotone(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) 
     singleton; raises on any other constraint."""
     _require_submodular_claim(inst)
     system = build_level_system(inst.ground, inst.constraints, cfg=cfg)
-    solved = _solve_levels(system, inst.objective, inst.objective.integer_valued, cfg)
-    diagnostics = {"constraints": _constraint_counts(inst), **_stats_dict(system, solved.stats)}
+    spec = inst.objective.family_spec
+    solved = _solve_levels(system, inst.objective, inst.objective.integer_valued, cfg,
+                           None if spec is None else (spec,))
+    diagnostics = {"constraints": _constraint_counts(inst), **_stats_dict(system, solved)}
     if solved.counts is None:
         diagnostics["infeasible_detail"] = solved.infeasible_detail
         return SolveResult(None, float("nan"), float("nan"), MODE_EXACT, float("nan"), False,
-                           diagnostics=diagnostics)
+                           diagnostics=diagnostics, system=system)
     x = solved.counts
     violated = inst.violated_by(x)
     if violated:
         raise SolverError(f"internal: exact solution violates constraints {violated}")
     value = inst.objective(x)
     if inst.objective.integer_valued:
-        return SolveResult(x, value, value, MODE_EXACT, 1.0, True, diagnostics=diagnostics)
+        return SolveResult(x, value, value, MODE_EXACT, 1.0, True, diagnostics=diagnostics,
+                           system=system)
     # A float solve is only as good as its certificate: the inner gap bounds
     # how far the value can sit above the optimum, whatever the tolerance.
     gap = max(solved.stats.duality_gap, 0.0)
     lower = value - gap
     if gap <= FLOAT_GAP_FLOOR:
-        return SolveResult(x, value, lower, MODE_EXACT, 1.0, True, diagnostics=diagnostics)
+        return SolveResult(x, value, lower, MODE_EXACT, 1.0, True, diagnostics=diagnostics,
+                           system=system)
     ratio = value / lower if lower > cfg.certificate_tol else float("inf")
     warning = (f"inner duality gap {gap:.3g} left open (wolfe_tol={cfg.wolfe_tol:g}); "
                "the value is certified only to within that gap")
-    return SolveResult(x, value, lower, MODE_EXACT, ratio, True, (warning,), diagnostics)
+    return SolveResult(x, value, lower, MODE_EXACT, ratio, True, (warning,), diagnostics, system)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +301,10 @@ def _relax(inst: Instance, mono: Monotonized, system: LevelSystem, cfg: SolverCo
     The objective over the duplicated point is f(plus counts) + f(minus
     counts); since minus copies are stored in reversed orientation, the minus
     block evaluates f on bounds-minus-counts, i.e. through the reflected
-    oracle.  When an agreeing pair (both copies equal) attains the same
-    optimum, it is preferred, which makes purely monotone instances round to
-    their exact optimum.
+    oracle, or, for a built-in family, through its `Complement`.  When an
+    agreeing pair (both copies equal) attains the same optimum, it is
+    preferred, which makes purely monotone instances round to their exact
+    optimum.
     """
     f = inst.objective
     n = inst.ground.n
@@ -272,7 +315,9 @@ def _relax(inst: Instance, mono: Monotonized, system: LevelSystem, cfg: SolverCo
         minus = tuple(ub - v for ub, v in zip(u, counts2n[n:]))
         return f(plus) + f(minus)
 
-    solved = _solve_levels(system, g, f.integer_valued, cfg)
+    spec = f.family_spec
+    solved = _solve_levels(system, g, f.integer_valued, cfg,
+                           None if spec is None else (spec, Complement(spec)))
     if solved.counts is None:
         raise InfeasibleSystem(
             f"monotonized system infeasible ({solved.infeasible_detail}); "
@@ -301,7 +346,7 @@ def _relax(inst: Instance, mono: Monotonized, system: LevelSystem, cfg: SolverCo
                 g_value = cand_value
                 break
 
-    diagnostics = {"constraints": _constraint_counts(inst), **_stats_dict(system, solved.stats)}
+    diagnostics = {"constraints": _constraint_counts(inst), **_stats_dict(system, solved)}
     return RelaxationOutcome(
         m_plus=tuple(plus),
         m_minus=tuple(-v for v in minus),
@@ -389,7 +434,9 @@ def _witness_2sat(inst: Instance, system: LevelSystem) -> tuple[int, ...] | None
     for v, val in system.fixed.items():
         unit = lit[v] if val == 1 else lit[v] ^ 1
         implications.append((unit ^ 1, unit))
-    assignment = solve_2sat(plus_levels, implications)
+    # the minus block's arcs mostly restate the plus block's as contrapositives;
+    # first-occurrence order keeps the witness the one the full list gives
+    assignment = solve_2sat(plus_levels, list(dict.fromkeys(implications)))
     if assignment is None:
         return None
     members = sum(1 << v for v, val in enumerate(assignment) if val)
@@ -405,11 +452,13 @@ def _witness_2sat(inst: Instance, system: LevelSystem) -> tuple[int, ...] | None
 # ---------------------------------------------------------------------------
 
 
-def _infeasible_result(inst: Instance, mode: str, diagnostics: dict | None = None) -> SolveResult:
+def _infeasible_result(inst: Instance, mode: str, diagnostics: dict | None = None,
+                       system: LevelSystem | None = None) -> SolveResult:
     d = {"constraints": _constraint_counts(inst)}
     if diagnostics:
         d.update(diagnostics)
-    return SolveResult(None, float("nan"), float("nan"), mode, float("nan"), False, diagnostics=d)
+    return SolveResult(None, float("nan"), float("nan"), mode, float("nan"), False,
+                       diagnostics=d, system=system)
 
 
 def _sample_nonnegativity(inst: Instance, out: RelaxationOutcome, x: tuple[int, ...], tol: float) -> bool:
@@ -447,7 +496,7 @@ def solve_approx(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> Solve
     try:
         relax = _relax(inst, mono, system, cfg)
     except InfeasibleSystem:
-        return _infeasible_result(inst, MODE_APPROX)
+        return _infeasible_result(inst, MODE_APPROX, system=system)
 
     warnings: list[str] = []
     if inst.roundup_declared:
@@ -455,12 +504,12 @@ def solve_approx(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> Solve
             x = round_up(relax, inst)
         except RoundUpViolation:
             if _witness_2sat(inst, system) is None:
-                return _infeasible_result(inst, MODE_APPROX, relax.diagnostics)
+                return _infeasible_result(inst, MODE_APPROX, relax.diagnostics, system)
             raise
     else:
         z = _witness_2sat(inst, system)
         if z is None:
-            return _infeasible_result(inst, MODE_APPROX, relax.diagnostics)
+            return _infeasible_result(inst, MODE_APPROX, relax.diagnostics, system)
         x = round_ell(relax, z, inst)
 
     value = inst.objective(x)
@@ -481,7 +530,8 @@ def solve_approx(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> Solve
     diagnostics["g_value"] = relax.g_value
     diagnostics["m_plus"] = relax.m_plus
     diagnostics["m_minus_counts"] = relax.minus_counts
-    return SolveResult(x, value, lower, MODE_APPROX, ratio, True, tuple(warnings), diagnostics)
+    return SolveResult(x, value, lower, MODE_APPROX, ratio, True, tuple(warnings), diagnostics,
+                       system)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,49 @@ def random_oracle(rng, ground, **kw) -> s.SubmodularOracle:
     return s.make_family(random_family(rng, ground, **kw), ground)
 
 
+def random_spec(rng: random.Random, ground: s.GroundSet, *, integer=True, depth=2):
+    """Random built-in family spec of any shape: sums and nested complements
+    over every leaf family the ground admits, with float weights and tables
+    unless ``integer``."""
+
+    def num(lo, hi):
+        return rng.randint(lo, hi) if integer else rng.uniform(lo, hi)
+
+    kinds = ["modular", "concave"] + (["coverage", "graph_cut"] if ground.is_binary else [])
+    if depth > 0:
+        kinds += ["sum", "complement"]
+    kind = rng.choice(kinds)
+    n = ground.n
+    if kind == "modular":
+        return s.Modular(tuple(num(-3, 4) for _ in range(n)))
+    if kind == "concave":
+        table = [num(-2, 2)]
+        for d in sorted((num(-2, 4) for _ in range(ground.total_levels())), reverse=True):
+            table.append(table[-1] + d)
+        return s.ConcaveCardinality(tuple(table))
+    if kind == "coverage":
+        items = rng.randint(1, 2 * n)
+        covers = tuple(tuple(rng.sample(range(items), rng.randint(0, min(items, 3))))
+                       for _ in range(n))
+        return s.Coverage(covers, tuple(num(0, 4) for _ in range(items)))
+    if kind == "graph_cut":
+        edges = tuple(e for e in combinations(range(n), 2) if rng.random() < 0.5)
+        return s.GraphCut(edges, tuple(num(0, 3) for _ in edges))
+    if kind == "sum":
+        return s.Sum(tuple(random_spec(rng, ground, integer=integer, depth=depth - 1)
+                           for _ in range(rng.randint(2, 3))))
+    return s.Complement(random_spec(rng, ground, integer=integer, depth=depth - 1))
+
+
+def opaque(oracle: s.SubmodularOracle) -> s.SubmodularOracle:
+    """The same function as an oracle without a family spec, so the solvers
+    minimize it with Wolfe's method instead of a minimum cut."""
+    return s.SubmodularOracle(oracle.ground, oracle, claims_submodular=oracle.claims_submodular,
+                              claims_monotone=oracle.claims_monotone,
+                              integer_valued=oracle.integer_valued, batch_fn=oracle.eval_many,
+                              label="opaque")
+
+
 def random_set_oracle(rng: random.Random, m: int) -> s.SetFunctionOracle:
     """Integer-valued submodular set function: modular + graph cut + concave
     cardinality mix, with a random constant offset."""

@@ -245,6 +245,31 @@ def test_emit_closure_writes_the_system_the_solve_used(tmp_path, capsys):
         assert emitted["level_count"] == levels
 
 
+def test_emit_closure_builds_the_level_system_once(tmp_path, capsys, monkeypatch):
+    # the document serializes the system the solve built, not a rebuilt one
+    from submod2 import cli, reductions, solver
+
+    calls = []
+    build = reductions.build_level_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for mod in (reductions, solver, cli):
+        monkeypatch.setattr(mod, "build_level_system", counting)
+    doc = {"n": 2, "bounds": [2, 2], "objective": {"kind": "modular", "w": [1, 2]},
+           "constraints": [{"i": 0, "a": 1, "j": 1, "b": -1, "c": 0}], "roundup": True}
+    path = write(tmp_path, doc)
+    for mode, levels in (("approx", 8), ("exact", 4)):
+        calls.clear()
+        target = tmp_path / f"{mode}.json"
+        code, out, _ = run_main(capsys, ["solve", path, "--mode", mode, "--emit-closure", str(target)])
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(target.read_text())["level_count"] == levels
+
+
 def test_emit_closure_only_where_a_reduction_runs(tmp_path, capsys):
     path = write(tmp_path, TRIANGLE_VC)
     target = tmp_path / "reduction.json"
@@ -264,6 +289,8 @@ def test_diagnostics_fields_present(tmp_path, capsys):
     assert d["constraints"]["non_monotone"] == 3
     assert "sfm_iterations" in d and "level_count" in d
     assert "warnings" in d
+    assert d["engine"] == "mincut" and d["cut_nodes"] > 0 and d["cut_arcs"] > 0
+    assert d["sfm_iterations"] == d["sfm_evaluations"] == d["penalty_retries"] == 0
 
 
 def test_cap_flag_limits_enumeration(tmp_path, capsys):
@@ -371,17 +398,17 @@ def test_malformed_problem_reports_error_json(tmp_path, capsys, problem):
 
 
 def test_open_float_gap_is_not_reported_optimal(tmp_path, capsys):
-    # at --tol 0.5 the exact route stops at x = 0 with value 0 while the
-    # optimum is -0.22: the gap is open, so the answer is no optimum
-    doc = {"n": 4,
-           "objective": {"kind": "sum", "terms": [
-               {"kind": "modular", "w": [-1.27, 0.65, -0.66, -1.21]},
-               {"kind": "concave_cardinality", "g": [0.0, 0.99, 1.97, 2.93, 3.85]}]},
-           "constraints": [{"i": 1, "a": 1, "j": 0, "b": -1, "c": 0},
-                           {"i": 2, "a": 1, "j": 1, "b": -1, "c": 0}]}
+    # min-SAT embeds its clause objective into a larger ground, which drops
+    # the family spec, so this objective still reaches Wolfe.  At --tol 0.5
+    # the exact route stops at value 0 while the optimum is -0.36: the gap is
+    # open, so the answer is no optimum
+    doc = {"objective": {"kind": "sum", "terms": [
+               {"kind": "modular", "w": [-1.63, -1.56, -0.06]},
+               {"kind": "concave_cardinality", "g": [0.0, 1.66, 2.83, 3.66]}]},
+           "problem": {"kind": "min_sat", "n": 3, "clauses": [[1, 3], [1], [2]]}}
     path = write(tmp_path, doc)
     opt = s.brute_force_solve(parse_instance(path)).value
-    assert opt == pytest.approx(-0.22)
+    assert opt == pytest.approx(-0.36)
     code, out, err = run_main(capsys, ["solve", path, "--tol", "0.5"])
     assert (code, out["status"]) == (3, "refused")
     assert out["value"] > opt + 0.1
@@ -390,4 +417,6 @@ def test_open_float_gap_is_not_reported_optimal(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["solve", path])
     assert (code, out["status"]) == (0, "optimal")
     assert out["value"] == pytest.approx(opt)
+    assert out["mode"] == "ExactMonotone"
+    assert out["diagnostics"]["engine"] == "wolfe"
     assert out["diagnostics"]["sfm_exact"] is True

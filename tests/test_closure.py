@@ -5,13 +5,24 @@ import pytest
 
 from submod2 import (
     ClosureInstance,
+    Complement,
+    ConcaveCardinality,
+    Constraint,
+    Coverage,
+    GraphCut,
+    GroundSet,
+    Modular,
     SetFunctionOracle,
     StClosureGraph,
+    Sum,
     bisubmodular_vc_bipartite,
+    build_level_system,
+    make_family,
     sm_cut_to_closure,
     solve_linear_closure_mincut,
     solve_sm_closure,
 )
+from submod2.closure import minimize_levels_mincut
 from submod2.errors import ValidationError
 
 import gen
@@ -200,3 +211,43 @@ def test_linear_closure_solves_long_chains():
     closure, value = solve_linear_closure_mincut(weights, [(i, i + 1) for i in range(n - 1)])
     assert closure == frozenset(range(n))
     assert value == 6
+
+
+def _leaf(rng, family, ground, integer):
+    # one leaf family of the given class, in the gate generator's shapes
+    while True:
+        spec = gen.random_spec(rng, ground, integer=integer, depth=0)
+        if isinstance(spec, family):
+            return spec
+
+
+@pytest.mark.parametrize("complemented", [False, True])
+@pytest.mark.parametrize("family", [Modular, ConcaveCardinality, Coverage, GraphCut, Sum])
+def test_cut_energy_equals_the_objective_at_every_point(family, complemented):
+    # pinning every level to the threshold set of x leaves the auxiliary nodes
+    # free, so the constant plus the minimum cut is the compiled energy at x
+    rng = random.Random(f"energy-{family.__name__}-{complemented}")
+    points = 0
+    for trial in range(12):
+        integer = trial % 2 == 0
+        binary = family in (Coverage, GraphCut) or trial % 3 == 0
+        n = rng.randint(1, 4)
+        ground = GroundSet.binary(n) if binary else GroundSet(tuple(rng.randint(1, 3) for _ in range(n)))
+        if family is Sum:
+            spec = Sum(tuple(_leaf(rng, leaf, ground, integer) for leaf in (Modular, ConcaveCardinality)))
+        else:
+            spec = _leaf(rng, family, ground, integer)
+        if complemented:
+            spec = Complement(spec)
+        f = make_family(spec, ground)
+        for x in itertools.product(*(range(u + 1) for u in ground.bounds)):
+            pins = [c for i, v in enumerate(x)
+                    for c in (Constraint.single(i, 1, v), Constraint.single(i, -1, -v))]
+            system = build_level_system(ground, pins)
+            cut = minimize_levels_mincut(system, (spec,))
+            assert cut.members == {system.var(i, p) for i, v in enumerate(x) for p in range(1, v + 1)}
+            assert cut.lower == pytest.approx(f(x), abs=1e-9), (spec, x)
+            if integer:
+                assert cut.lower == f(x)
+            points += 1
+    assert points > 50

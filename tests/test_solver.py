@@ -445,19 +445,81 @@ def test_large_weights_solve_at_every_scale(scale):
 
 def test_tight_tolerance_stops_on_the_certificate():
     # min-2SAT at wolfe_tol=1e-12: Wolfe ran on to its cap of 2440 iterations
-    # before it stopped on the optimality certificate
+    # before it stopped on the optimality certificate.  The objective is
+    # opaque, so Wolfe (not a minimum cut) is the engine
+    cnf = s.CnfSpec(6, ((-2, -3), (-2, -6), (2, 6), (-6, -2), (-3, 4), (-3, -5), (-4, 2)))
+    covers = ((2, 7, 11), (5,), (0, 10), (10,), (3, 9), (3, 11))
+    items = (2, 4, 3, 2, 3, 3, 4, 2, 1, 1, 2, 4)
+    f = s.make_family(s.Sum((s.Modular((4, 1, 3, 5, 1, 2)), s.Coverage(covers, items))),
+                      GroundSet.binary(6))
+    inst = s.build_min2sat(cnf, gen.opaque(f))
+    res = solve_auto(inst, cfg=s.SolverConfig(wolfe_tol=1e-12))
+    d = res.diagnostics
+    assert d["engine"] == "wolfe"
+    assert d["sfm_iterations"] < 100
+    assert d["sfm_exact"] is True and d["duality_gap"] < 1
+    assert 0 < d["sfm_evaluations"] < 2 ** d["level_count"]
+    assert res.value == brute_force_solve(inst).value
+
+
+def test_family_objectives_solve_by_one_minimum_cut():
+    # the same instance with its family spec: no Wolfe iteration, zero gap
     cnf = s.CnfSpec(6, ((-2, -3), (-2, -6), (2, 6), (-6, -2), (-3, 4), (-3, -5), (-4, 2)))
     covers = ((2, 7, 11), (5,), (0, 10), (10,), (3, 9), (3, 11))
     items = (2, 4, 3, 2, 3, 3, 4, 2, 1, 1, 2, 4)
     f = s.make_family(s.Sum((s.Modular((4, 1, 3, 5, 1, 2)), s.Coverage(covers, items))),
                       GroundSet.binary(6))
     inst = s.build_min2sat(cnf, f)
-    res = solve_auto(inst, cfg=s.SolverConfig(wolfe_tol=1e-12))
+    res = solve_auto(inst)
     d = res.diagnostics
-    assert d["sfm_iterations"] < 100
-    assert d["sfm_exact"] is True and d["duality_gap"] < 1
-    assert 0 < d["sfm_evaluations"] < 2 ** d["level_count"]
+    assert (d["engine"], d["sfm_iterations"], d["sfm_evaluations"], d["penalty_retries"]) == \
+        ("mincut", 0, 0, 0)
+    assert d["sfm_exact"] is True and d["duality_gap"] == 0
+    # 2 * 6 levels, one node per covered item (8 of 12) in each block,
+    # source and sink
+    assert d["cut_nodes"] == 12 + 2 * 8 + 2 and d["cut_arcs"] > 0
     assert res.value == brute_force_solve(inst).value
+    assert res.system is not None and res.system.level_count == 12
+
+
+def test_float_family_exact_route_certifies_zero_gap():
+    # a float concave + modular multiset system, which Wolfe certifies only
+    # to within its tolerance, is optimal with zero gap at any --tol
+    rng = random.Random("float-zero-gap")
+    ground = GroundSet((3, 2, 3, 1))
+    table = [0.0]
+    for d in sorted((rng.uniform(0, 2) for _ in range(ground.total_levels())), reverse=True):
+        table.append(table[-1] + d)
+    f = s.make_family(s.Sum((s.Modular(tuple(rng.uniform(-2, 1) for _ in range(4))),
+                             s.ConcaveCardinality(tuple(table)))), ground)
+    inst = Instance(ground, (Constraint.pair(0, 1, 1, -1, 0), Constraint.pair(2, 2, 3, -1, 1)), f)
+    opt = brute_force_solve(inst).value
+    for tol in (1e-12, 0.5):
+        res = solve_exact_monotone(inst, cfg=s.SolverConfig(wolfe_tol=tol))
+        assert res.ratio_bound == 1.0 and not res.warnings
+        assert res.value == pytest.approx(opt, abs=1e-12)
+        assert abs(res.diagnostics["duality_gap"]) <= 1e-12
+
+
+def test_witness_feeds_each_implication_once(monkeypatch):
+    # the minus block's arcs restate the plus block's as contrapositives
+    from submod2 import solver
+
+    fed = []
+    solve = solver.solve_2sat
+
+    def counting(num_vars, implications):
+        fed.append(list(implications))
+        return solve(num_vars, fed[-1])
+
+    monkeypatch.setattr(solver, "solve_2sat", counting)
+    rng = random.Random(3)
+    for _ in range(200):
+        feasible, z = check_feasibility_2sat(gen.random_general_instance(rng, max_n=5, max_u=3))
+        assert feasible
+    assert len(fed) == 200
+    assert all(len(set(imps)) == len(imps) for imps in fed)
+    assert sum(map(len, fed)) == 3325  # of 6001 with the repeats
 
 
 def test_approx_builds_one_level_system(monkeypatch):
