@@ -25,6 +25,7 @@ available), 1 error.  Result JSON goes to stdout only; diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -410,8 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, SolverError) as exc:

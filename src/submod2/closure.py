@@ -13,6 +13,16 @@ closed sets of a level system (`minimize_levels_mincut`): each family is a
 constant plus the capacity of an s-t cut over the level indicators and a few
 auxiliary nodes (Picard 1976; Kolmogorov & Zabih 2004), so one maximum flow
 gives the optimum and, through its value, a lower bound that certifies it.
+
+Both run the same max-flow, `_Dinic`.  On closure graphs almost all of the
+flow runs straight down the uncuttable precedence arcs (the structure
+Hochbaum's pseudoflow algorithm exploits), so a greedy forward pass pushes
+flow from source arcs to sink arcs along those arcs first, and Dinic's BFS
+phases finish from the flow it leaves; on open pits none are left to run.
+The cut read off afterwards is the set of nodes reachable from s in the
+residual graph, which is the same minimal minimum cut after every maximum
+flow, so the pass cannot change an answer; only the float sum of the flow
+value can differ in its last bits.
 """
 
 from __future__ import annotations
@@ -67,8 +77,22 @@ def solve_sm_closure(
 
 
 class _Dinic:
-    def __init__(self, n: int):
+    """Maximum flow by Dinic's algorithm, after a greedy forward pass.
+
+    Arc ``eid`` is an input arc when even; ``eid ^ 1`` is its reverse twin,
+    which starts at capacity 0, so ``cap[eid] + cap[eid ^ 1]`` stays the
+    arc's capacity.  Arcs of capacity ``hard`` are the uncuttable ones.
+    `_forward_pass` first pushes flow from source arcs to sink arcs along
+    uncuttable input arcs only, which on closure graphs routes nearly all of
+    the flow; the BFS phases then run from the flow it leaves and can undo
+    any of it through the twins.  Every maximum flow leaves the same
+    residual reachability from s (the minimal minimum cut), so the pass
+    changes how fast the cut is found, not which cut.
+    """
+
+    def __init__(self, n: int, hard: float):
         self.n = n
+        self.hard = hard
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[float] = []
@@ -99,6 +123,16 @@ class _Dinic:
                     q.append(v)
         return False
 
+    def _augment(self, path: list[int]) -> tuple[float, int]:
+        """Push the bottleneck capacity along a path of arc ids; return it
+        and the index of the first arc the push saturated."""
+        cap = self.cap
+        pushed = min(cap[eid] for eid in path)
+        for eid in path:
+            cap[eid] -= pushed
+            cap[eid ^ 1] += pushed
+        return pushed, next(k for k, eid in enumerate(path) if cap[eid] <= 1e-12)
+
     def _blocking_flow(self, s: int, t: int) -> float:
         """Saturate the level graph with s-t paths and return the flow pushed.
 
@@ -115,12 +149,8 @@ class _Dinic:
         u = s
         while True:
             if u == t:
-                pushed = min(cap[eid] for eid in path)
-                for eid in path:
-                    cap[eid] -= pushed
-                    cap[eid ^ 1] += pushed
+                pushed, cut = self._augment(path)
                 flow += pushed
-                cut = next(k for k, eid in enumerate(path) if cap[eid] <= 1e-12)
                 u = to[path[cut] ^ 1]
                 del path[cut:]
                 continue
@@ -143,9 +173,79 @@ class _Dinic:
             else:
                 return flow
 
-    def max_flow(self, s: int, t: int) -> float:
+    def _forward_pass(self, s: int, t: int) -> float:
+        """Push flow along s-t paths of input arcs, one source arc at a time.
+
+        Between its source arc and its sink arc a path uses uncuttable arcs
+        only.  Finite inner arcs are left to the BFS phases: on level graphs
+        many nodes share them, and on a 400-level concave objective a greedy
+        fill of them left up to 19 phases of ever longer paths where Dinic
+        alone needs about 4.
+
+        Forward residuals only fall during the pass, so state kept across
+        source arcs stays true: ``it[u]`` skips arcs that are saturated or
+        lead to a ``dead`` node, one with no such residual path to t.
+        A node on the current path, or one that dead-ended earlier in this
+        source arc's search, carries the arc's id in ``mark`` and is passed
+        over without moving the pointer.  A push clears the marks past the
+        saturated arc.  Each step pushes, enters an unmarked node or
+        retreats, so the pass ends on graphs with cycles too.
+        """
+        head, to, cap, hard = self.head, self.to, self.cap, self.hard
+        it = [0] * self.n
+        dead = [False] * self.n
+        dead[s] = True
+        mark = [-1] * self.n
         flow = 0.0
+        for src in head[s]:
+            if src & 1 or cap[src] <= 1e-12:
+                continue
+            path = [src]
+            u = to[src]
+            mark[u] = src
+            while path:
+                if u == t:
+                    pushed, cut = self._augment(path)
+                    flow += pushed
+                    for eid in path[cut:]:
+                        mark[to[eid]] = -1
+                    u = to[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                arcs = head[u]
+                end = len(arcs)
+                k = it[u]
+                stuck = False  # passed over a marked node
+                while k < end:
+                    eid = arcs[k]
+                    if not eid & 1 and cap[eid] > 1e-12:
+                        v = to[eid]
+                        if not dead[v] and (v == t or cap[eid] + cap[eid ^ 1] >= hard):
+                            if mark[v] != src:
+                                break
+                            if not stuck:
+                                it[u] = k
+                                stuck = True
+                    k += 1
+                if not stuck:
+                    it[u] = k
+                if k < end:
+                    path.append(eid)
+                    mark[v] = src
+                    u = v
+                else:
+                    dead[u] = not stuck
+                    path.pop()
+                    if path:
+                        u = to[path[-1]]
+        return flow
+
+    def max_flow(self, s: int, t: int) -> float:
+        """Flow value; ``phases`` counts the BFS phases run after the pass."""
+        flow = self._forward_pass(s, t)
+        self.phases = 0
         while self._bfs(s, t):
+            self.phases += 1
             flow += self._blocking_flow(s, t)
         return flow
 
@@ -193,8 +293,8 @@ def solve_linear_closure_mincut(
         return frozenset(), 0.0
 
     s, t = n, n + 1
-    net = _Dinic(n + 2)
     infinite = 1.0 + sum(v for v in w if v > 0)
+    net = _Dinic(n + 2, infinite)
     for (i, j) in arcs:
         net.add_edge(i, j, infinite)
     for v in range(n):
@@ -221,12 +321,14 @@ class LevelCut:
     """Minimum cut of a compiled level system.  ``members`` are the level ids
     on the source side, a closed set; ``lower`` is the constant plus the
     max-flow value, a lower bound on the objective over every closed set
-    that the members attain up to float rounding."""
+    that the members attain up to float rounding.  ``phases`` counts the
+    Dinic phases that found a path after the forward pass."""
 
     members: frozenset[int]
     lower: float
     nodes: int
     arcs: int
+    phases: int
 
 
 class _CutEnergy:
@@ -333,7 +435,7 @@ def minimize_levels_mincut(system: LevelSystem, specs: Sequence[FamilySpec]) -> 
             finite.append((s, v, -c))
     infinite = 1.0 + sum(c for _, _, c in finite)
     hard = system.all_arcs() + [(s, v) if val else (v, t) for v, val in system.fixed.items()]
-    net = _Dinic(nodes + 2)
+    net = _Dinic(nodes + 2, infinite)
     for (a, b, c) in finite:
         net.add_edge(a, b, c)
     for (a, b) in hard:
@@ -342,7 +444,7 @@ def minimize_levels_mincut(system: LevelSystem, specs: Sequence[FamilySpec]) -> 
     if flow > infinite - 0.5:
         raise SolverError("internal: the minimum cut crosses a chain, closure or fixing arc")
     members = frozenset(v for v in net.reachable_from(s) if v < system.level_count)
-    return LevelCut(members, constant + flow, nodes + 2, len(finite) + len(hard))
+    return LevelCut(members, constant + flow, nodes + 2, len(finite) + len(hard), net.phases)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,7 @@ class _LevelSolve:
     infeasible_detail: str = ""
     cut_nodes: int = 0
     cut_arcs: int = 0
+    cut_phases: int = 0
 
 
 def _solve_levels(
@@ -180,7 +181,7 @@ def _solve_levels(
         if not _certified(integer_valued, gap, 0.0):
             raise SolverError(f"internal: minimum cut left a certificate gap of {gap:.3g}")
         return _LevelSolve(counts, MinNormStats(duality_gap=gap, exact=True), engine,
-                           cut_nodes=cut.nodes, cut_arcs=cut.arcs)
+                           cut_nodes=cut.nodes, cut_arcs=cut.arcs, cut_phases=cut.phases)
     must_in, must_out = prop
     free = [v for v in range(system.level_count) if not ((must_in | must_out) >> v) & 1]
     pos = {v: k for k, v in enumerate(free)}
@@ -221,6 +222,7 @@ def _stats_dict(system: LevelSystem, solved: _LevelSolve) -> dict:
         "engine": solved.engine,
         "cut_nodes": solved.cut_nodes,
         "cut_arcs": solved.cut_arcs,
+        "cut_phases": solved.cut_phases,
         "sfm_iterations": stats.major_iterations,
         "sfm_evaluations": stats.evaluations,
         "sfm_exact": stats.exact,

@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import submod2 as s
+from submod2 import cli
 from submod2.cli import (
     CliError,
     instance_to_json,
@@ -291,6 +294,13 @@ def test_diagnostics_fields_present(tmp_path, capsys):
     assert "warnings" in d
     assert d["engine"] == "mincut" and d["cut_nodes"] > 0 and d["cut_arcs"] > 0
     assert d["sfm_iterations"] == d["sfm_evaluations"] == d["penalty_retries"] == 0
+    assert isinstance(d["cut_phases"], int) and d["cut_phases"] >= 0
+    # min-SAT embeds its objective without a family spec, so Wolfe runs
+    wolfe_doc = {"objective": {"kind": "modular", "w": [1, 2, 3]},
+                 "problem": {"kind": "min_sat", "n": 3, "clauses": [[1, 3], [1], [2]]}}
+    _, out, _ = run_main(capsys, ["solve", write(tmp_path, wolfe_doc, "wolfe.json")])
+    d = out["diagnostics"]
+    assert d["engine"] == "wolfe" and d["cut_nodes"] == d["cut_arcs"] == d["cut_phases"] == 0
 
 
 def test_cap_flag_limits_enumeration(tmp_path, capsys):
@@ -358,6 +368,52 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
         assert code == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1] == runs[2]
+
+
+def _run_each(capsys, argvs):
+    outcomes = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_main_reuses_one_parser_as_if_fresh(tmp_path, capsys, monkeypatch):
+    # options of one call must not leak into the next, and an argparse error
+    # must leave the shared parser usable
+    path = write(tmp_path, TRIANGLE_VC)
+    argvs = [
+        ["solve", path, "--mode", "exact", "--tol", "1e-7"],
+        ["reduce", path, "--cap", "64"],
+        ["solve", path, "--no-such-flag"],
+        ["brute", path, "--cap", "8"],
+        ["solve", path],
+        ["verify", path],
+    ]
+    shared = _run_each(capsys, argvs)
+    assert cli._parser() is cli._parser()
+    assert shared[2][0] == ("exit", 2) and "--no-such-flag" in shared[2][2]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert _run_each(capsys, argvs) == shared
+
+
+def test_ratio_survey_script_stays_within_factor_two():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ratio_survey.py"), "--per-family", "3", "--seed", "7"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    worst = header.split().index("worst")
+    assert len(rows) == 4
+    assert all(float(row.split()[worst]) <= 2 for row in rows)
 
 
 def test_cli_runs_as_module(tmp_path):

@@ -22,7 +22,7 @@ from submod2 import (
     solve_linear_closure_mincut,
     solve_sm_closure,
 )
-from submod2.closure import minimize_levels_mincut
+from submod2.closure import _Dinic, minimize_levels_mincut
 from submod2.errors import ValidationError
 
 import gen
@@ -211,6 +211,59 @@ def test_linear_closure_solves_long_chains():
     closure, value = solve_linear_closure_mincut(weights, [(i, i + 1) for i in range(n - 1)])
     assert closure == frozenset(range(n))
     assert value == 6
+
+
+def _random_network(rng):
+    # nodes 0..n-3 inner, s = n-2, t = n-1; arcs drawn with replacement, so
+    # parallel and antiparallel arcs and cycles all occur
+    n = rng.randint(2, 9)
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        c = rng.choice([0, 1, 2, 3, round(rng.uniform(0, 3), 3), rng.uniform(0, 3)])
+        arcs.append((u, v, c))
+    infinite = 1.0 + sum(c for _, _, c in arcs)
+    arcs = [(u, v, infinite if rng.random() < 0.15 else c) for u, v, c in arcs]
+    return n, arcs, infinite
+
+
+def test_max_flow_equals_the_minimum_cut_by_enumeration():
+    rng = random.Random("maxflow")
+    for _ in range(400):
+        n, arcs, infinite = _random_network(rng)
+        s, t = n - 2, n - 1
+        net = _Dinic(n, infinite)
+        for u, v, c in arcs:
+            net.add_edge(u, v, c)
+        flow = net.max_flow(s, t)
+        # a feasible flow: within capacity and conserved at every inner node
+        balance = [0.0] * n
+        for k, (u, v, c) in enumerate(arcs):
+            pushed = net.cap[2 * k + 1]
+            assert -1e-12 <= pushed <= c + 1e-9
+            balance[u] -= pushed
+            balance[v] += pushed
+        assert all(abs(b) < 1e-9 for b in balance[:s])
+        assert balance[t] == pytest.approx(flow, abs=1e-9)
+        sides = [{s} | {v for v in range(s) if (mask >> v) & 1} for mask in range(1 << s)]
+        values = [sum(c for u, v, c in arcs if u in side and v not in side) for side in sides]
+        best = min(values)
+        assert flow == pytest.approx(best, abs=1e-9)
+        minimal = set.intersection(*(side for side, val in zip(sides, values) if val <= best + 1e-9))
+        assert net.reachable_from(s) == minimal
+
+
+def test_max_flow_reroutes_what_the_forward_pass_blocks():
+    # every arc counts as uncuttable, so the pass sends s->a->x->t first,
+    # which leaves b no input-arc path to t; only a Dinic phase through the
+    # twin of a->x reaches the flow of 2
+    a, b, x, y, s, t = range(6)
+    net = _Dinic(6, 1)
+    for u, v in [(s, a), (s, b), (a, x), (a, y), (b, x), (x, t), (y, t)]:
+        net.add_edge(u, v, 1)
+    assert net.max_flow(s, t) == 2
+    assert net.phases >= 1
+    assert net.reachable_from(s) == {s}
 
 
 def _leaf(rng, family, ground, integer):
