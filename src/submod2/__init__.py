@@ -33,12 +33,10 @@ from .errors import (
     ValidationError,
 )
 from .sfm import (
-    RingFamily,
     SetFunctionOracle,
     greedy_base_vertex,
     sfm_bruteforce,
     sfm_minnorm,
-    sfm_over_ring,
 )
 from .closure import (
     ClosureInstance,

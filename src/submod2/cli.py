@@ -63,6 +63,7 @@ from .reductions import (
     monotonized_system,
 )
 from .solver import (
+    CERTIFICATE_TOL,
     MODE_APPROX,
     MODE_BRUTE,
     MODE_EXACT,
@@ -337,7 +338,7 @@ def _cmd_solve(args) -> int:
     # an emitted approx status promises ratio_bound <= 2; a voided certificate
     # (negative objective samples, or an exact solve whose float gap stayed
     # open) downgrades to a refusal
-    if not res.ratio_bound <= 2 + DEFAULT_CONFIG.certificate_tol:
+    if not res.ratio_bound <= 2 + CERTIFICATE_TOL:
         _emit({"status": "refused",
                "reason": "certificate void: " + "; ".join(res.warnings),
                "x": list(res.x), "value": _num(res.value),

@@ -3,18 +3,21 @@
 A subset S is closed (w.r.t. successors) when every arc (i, j) with i in S
 also has j in S.  Closed sets are exactly the feasible sets of the system
 x_i <= x_j, and they form a ring family, so a submodular objective can be
-minimized exactly (`solve_sm_closure`).  For linear objectives the classical
-source/sink cut construction gives an independent second algorithm
-(`solve_linear_closure_mincut`), which the test suite cross-validates against
-both exhaustive enumeration and the ring-family route.
+minimized exactly.  Each engine has one entry, and both read arcs as given
+(self-loops and repeats change neither the closed sets nor the minimum):
+`solve_sm_closure` runs Wolfe on an opaque objective (`sfm._ring_detailed`),
+and `_min_cut` is the s-t minimum cut behind the other two entries.
 
-The same construction minimizes every built-in objective family over the
-closed sets of a level system (`minimize_levels_mincut`): each family is a
-constant plus the capacity of an s-t cut over the level indicators and a few
-auxiliary nodes (Picard 1976; Kolmogorov & Zabih 2004), so one maximum flow
-gives the optimum and, through its value, a lower bound that certifies it.
+For linear objectives the classical source/sink construction
+(`solve_linear_closure_mincut`) is an independent second algorithm, which
+the tests cross-validate against enumeration and `solve_sm_closure`.
+`minimize_levels_mincut` minimizes every built-in objective family over the
+closed sets of a level system: each family is a constant plus the capacity
+of an s-t cut over the level indicators and a few auxiliary nodes (Picard
+1976; Kolmogorov & Zabih 2004), so one maximum flow gives the optimum and,
+through its value, a lower bound that certifies it.
 
-Both run the same max-flow, `_Dinic`.  On closure graphs almost all of the
+The max-flow is `_Dinic`.  On closure graphs almost all of the
 flow runs straight down the uncuttable precedence arcs (the structure
 Hochbaum's pseudoflow algorithm exploits), so a greedy forward pass pushes
 flow from source arcs to sink arcs along those arcs first, and Dinic's BFS
@@ -36,7 +39,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .core import Complement, ConcaveCardinality, Coverage, FamilySpec, GraphCut, Modular, Sum
 from .errors import SolverError, ValidationError
 from .reductions import LevelSystem
-from .sfm import RingFamily, SetFunctionOracle, _ring_detailed, set_of
+from .sfm import SetFunctionOracle, _ring_detailed, set_of
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,9 @@ class ClosureInstance:
 def solve_sm_closure(
     inst: ClosureInstance, *, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> tuple[frozenset[int], float]:
-    """Exact minimum of a submodular objective over closed sets."""
-    mask, val, _ = _ring_detailed(inst.objective, RingFamily.of(inst.arcs), cfg)
+    """Exact minimum of an opaque submodular objective over closed sets, by
+    Wolfe's min-norm point with a penalty on violated arcs."""
+    mask, val, _ = _ring_detailed(inst.objective, inst.arcs, cfg)
     out = set_of(mask)
     if not inst.is_closed(out):
         raise ValidationError("internal: returned set is not closed")  # pragma: no cover
@@ -262,6 +266,28 @@ class _Dinic:
         return seen
 
 
+def _min_cut(
+    nodes: int, finite: Sequence[tuple[int, int, float]], hard: Sequence[tuple[int, int]]
+) -> tuple[set[int], float, int]:
+    """Minimal minimum s-t cut over inner nodes 0..nodes-1, s = nodes and
+    t = nodes + 1: its inner source side, the flow and the Dinic phases run
+    after the forward pass.  ``finite`` arcs are (a, b, capacity >= 0);
+    ``hard`` arcs (a, b) get 1 + the finite sum, which no minimum cut crosses
+    while some cut avoids them all."""
+    s, t = nodes, nodes + 1
+    infinite = 1.0 + sum(c for _, _, c in finite)
+    net = _Dinic(nodes + 2, infinite)
+    for (a, b, c) in finite:
+        net.add_edge(a, b, c)
+    for (a, b) in hard:
+        if a != b:  # a self-loop carries no flow, and the forward pass could never retire its node
+            net.add_edge(a, b, infinite)
+    flow = net.max_flow(s, t)
+    if flow > infinite - 0.5:
+        raise SolverError("internal: the minimum cut crosses an uncuttable arc")
+    return net.reachable_from(s) - {s}, flow, net.phases
+
+
 def solve_linear_closure_mincut(
     weights: Sequence[float],
     arcs: Iterable[tuple[int, int]],
@@ -269,46 +295,28 @@ def solve_linear_closure_mincut(
 ) -> tuple[frozenset[int], float]:
     """Best-weight closed set of a node-weighted digraph via a minimum cut.
 
-    ``sense="max"`` builds the source/sink graph (positive-weight nodes hang
-    off the source, nonpositive ones feed the sink, internal arcs effectively
-    uncuttable) and reads the source side of a minimum cut.  ``sense="min"``
-    negates the weights and reuses the same construction, so both senses range
-    over successor-closed sets and stay comparable with `solve_sm_closure`.
+    ``sense="max"`` hangs positive-weight nodes off the source and lets
+    nonpositive ones feed the sink, makes the arcs uncuttable and reads the
+    source side of a minimum cut (Picard 1976).  ``sense="min"`` runs the same
+    construction on the negated weights, so both senses range over
+    successor-closed sets and stay comparable with `solve_sm_closure`.  The
+    arcs may be any iterable, with repeats and self-loops.
     """
+    if sense not in ("max", "min"):
+        raise ValidationError("sense must be 'max' or 'min'")
     w = [float(v) for v in weights]
     n = len(w)
-    arcs = RingFamily.of(arcs).arcs
-    for (i, j) in arcs:
+    hard = list(arcs)
+    for (i, j) in hard:
         if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"arc ({i}, {j}) out of range")
-    if sense == "min":
-        s, _ = solve_linear_closure_mincut([-v for v in w], arcs, "max")
-        return s, sum(w[i] for i in s)
-    if sense != "max":
-        raise ValidationError("sense must be 'max' or 'min'")
-
-    if all(v > 0 for v in w):
-        return frozenset(range(n)), sum(w)  # nothing to cut: take everything
-    if all(v <= 0 for v in w):
-        return frozenset(), 0.0
-
+    gain = w if sense == "max" else [-v for v in w]
     s, t = n, n + 1
-    infinite = 1.0 + sum(v for v in w if v > 0)
-    net = _Dinic(n + 2, infinite)
-    for (i, j) in arcs:
-        net.add_edge(i, j, infinite)
-    for v in range(n):
-        if w[v] > 0:
-            net.add_edge(s, v, w[v])
-        else:
-            net.add_edge(v, t, -w[v])
-    net.max_flow(s, t)
-    source_side = net.reachable_from(s) - {s}
-    closure = frozenset(source_side)
-    closed = all(j in closure for (i, j) in arcs if i in closure)
-    if not closed:
+    finite = [(s, v, g) if g > 0 else (v, t, -g) for v, g in enumerate(gain)]
+    closure = frozenset(_min_cut(n, finite, hard)[0])
+    if not all(j in closure for (i, j) in hard if i in closure):
         raise ValidationError("internal: min-cut source side is not closed")  # pragma: no cover
-    return closure, sum(w[i] for i in closure)
+    return closure, sum((w[i] for i in closure), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +422,8 @@ def minimize_levels_mincut(system: LevelSystem, specs: Sequence[FamilySpec]) -> 
 
     The elements split into ``len(specs)`` equal blocks, and spec k is
     evaluated on the counts of block k.  Chain arcs, closure arcs and fixings
-    become arcs of capacity 1 + the sum of the finite capacities, which no
-    minimum cut crosses once the system has a closed set obeying its fixings.
+    are the uncuttable arcs of `_min_cut`, which no minimum cut crosses once
+    the system has a closed set obeying its fixings.
     """
     block = system.ground.n // len(specs)
     energy = _CutEnergy(system.level_count)
@@ -433,18 +441,10 @@ def minimize_levels_mincut(system: LevelSystem, specs: Sequence[FamilySpec]) -> 
         elif c < 0:
             constant += c
             finite.append((s, v, -c))
-    infinite = 1.0 + sum(c for _, _, c in finite)
     hard = system.all_arcs() + [(s, v) if val else (v, t) for v, val in system.fixed.items()]
-    net = _Dinic(nodes + 2, infinite)
-    for (a, b, c) in finite:
-        net.add_edge(a, b, c)
-    for (a, b) in hard:
-        net.add_edge(a, b, infinite)
-    flow = net.max_flow(s, t)
-    if flow > infinite - 0.5:
-        raise SolverError("internal: the minimum cut crosses a chain, closure or fixing arc")
-    members = frozenset(v for v in net.reachable_from(s) if v < system.level_count)
-    return LevelCut(members, constant + flow, nodes + 2, len(finite) + len(hard), net.phases)
+    source_side, flow, phases = _min_cut(nodes, finite, hard)
+    members = frozenset(v for v in source_side if v < system.level_count)
+    return LevelCut(members, constant + flow, nodes + 2, len(finite) + len(hard), phases)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +508,7 @@ def sm_cut_to_closure(graph: StClosureGraph) -> ClosureInstance:
         integer_valued=graph.cut_cost.integer_valued,
         label="closure_cut_cost",
     )
-    return ClosureInstance(graph.node_count, RingFamily.of(graph.internal_arcs).arcs, objective)
+    return ClosureInstance(graph.node_count, graph.internal_arcs, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,7 @@ def bisubmodular_vc_bipartite(
 
     inst = ClosureInstance(
         m,
-        RingFamily.of(edge_list).arcs,
+        tuple(edge_list),
         SetFunctionOracle(m, objective, integer_valued=f1.integer_valued and f2.integer_valued),
     )
     closed, value = solve_sm_closure(inst, cfg=cfg)

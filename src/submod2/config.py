@@ -9,8 +9,6 @@ class SolverConfig:
 
     enumeration_cap     bounds the number of box points any exhaustive verifier
                         or brute-force solve may visit.
-    sfm_bruteforce_cap  largest binary ground set the exhaustive set-function
-                        minimizer accepts (2**m evaluations).
     wolfe_tol           tolerance of the min-norm-point solve, which runs only
                         on objectives without a family spec (built-in
                         families are solved by a minimum cut whose gap is
@@ -23,20 +21,19 @@ class SolverConfig:
                         ``duality_gap``.  The tolerance also bounds the Wolfe
                         gap and the squared-norm improvement between major
                         iterations, which stop solves that never certify.
-    penalty_retries     how often the ring-constrained minimizer doubles its
-                        penalty weight before giving up.
     level_budget        cap on the total number of binary level variables a
                         reduction may create (guards against huge bounds).
-    certificate_tol     absolute slack used in floating-point certificate
-                        inequalities.
+
+    Fixed limits are module constants: `sfm.BRUTEFORCE_CAP` (largest binary
+    ground set the exhaustive set-function minimizer accepts),
+    `sfm.PENALTY_RETRIES` (penalty doublings of the ring-constrained
+    minimizer) and `solver.CERTIFICATE_TOL` (absolute slack of the
+    floating-point certificate inequalities).
     """
 
     enumeration_cap: int = 1 << 20
-    sfm_bruteforce_cap: int = 22
     wolfe_tol: float = 1e-9
-    penalty_retries: int = 10
     level_budget: int = 100_000
-    certificate_tol: float = 1e-9
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -50,10 +50,6 @@ class GroundSet:
         return len(self.bounds)
 
     @property
-    def max_bound(self) -> int:
-        return max(self.bounds)
-
-    @property
     def is_binary(self) -> bool:
         return all(u == 1 for u in self.bounds)
 
@@ -65,9 +61,6 @@ class GroundSet:
 
     def total_levels(self) -> int:
         return sum(self.bounds)
-
-    def contains(self, x: Sequence[int]) -> bool:
-        return len(x) == self.n and all(0 <= v <= u for v, u in zip(x, self.bounds))
 
 
 def check_vector(ground: GroundSet, x: Sequence[int]) -> tuple[int, ...]:

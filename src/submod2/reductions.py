@@ -177,11 +177,6 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _floor_div(p: int, q: int) -> int:
-    # q > 0
-    return p // q
-
-
 def _binarize_singleton(idx: int, a: int, c: int, ground: GroundSet) -> Fragment:
     frag = Fragment()
     u = ground.bounds[idx]
@@ -192,7 +187,7 @@ def _binarize_singleton(idx: int, a: int, c: int, ground: GroundSet) -> Fragment
         if lower >= 1:
             frag.fix_one.append((idx, lower))
     else:
-        upper = _floor_div(-c, -a)
+        upper = -c // -a
         if upper < 0:
             return frag._infeasible(f"x{idx} <= {upper} is impossible")
         if upper < u:

@@ -4,9 +4,10 @@ Two engines: an exhaustive reference (`sfm_bruteforce`) and a min-norm-point
 solver (`sfm_minnorm`) built from Wolfe's method over the base polytope with
 the greedy linear oracle, which stops as soon as its duality certificate
 proves the best threshold set of the iterate optimal (within the tolerance,
-for float objectives).  `sfm_over_ring` minimizes among the closed sets of
-a digraph by adding a scaled count of violated arcs, which is itself a
-directed cut function and therefore keeps the objective submodular.
+for float objectives).  `_ring_detailed` minimizes among the closed sets
+of a digraph by adding a scaled count of violated arcs, which is itself a
+directed cut function and therefore keeps the objective submodular; its
+public entry is `closure.solve_sm_closure`.
 
 The solver runs these engines only on objectives it cannot see into (opaque
 callables); built-in families are minimized by one minimum cut instead
@@ -98,11 +99,18 @@ def _lex_key(mask: int, m: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(m))
 
 
-def sfm_bruteforce(f: SetFunctionOracle, *, cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[frozenset[int], float]:
+# Largest ground set `sfm_bruteforce` enumerates (2**m evaluations).
+BRUTEFORCE_CAP = 22
+
+# Penalty doublings `_ring_detailed` tries before it gives up.
+PENALTY_RETRIES = 10
+
+
+def sfm_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], float]:
     """Global minimizer by full enumeration; ties go to the lexicographically
     smallest characteristic vector."""
-    if f.m > cfg.sfm_bruteforce_cap:
-        raise EnumerationCapExceeded(f"ground set of {f.m} exceeds brute-force cap {cfg.sfm_bruteforce_cap}")
+    if f.m > BRUTEFORCE_CAP:
+        raise EnumerationCapExceeded(f"ground set of {f.m} exceeds brute-force cap {BRUTEFORCE_CAP}")
     best_mask, best_val = 0, f(0)
     for mask in range(1, 1 << f.m):
         v = f(mask)
@@ -303,39 +311,20 @@ def sfm_minnorm(
     return set_of(mask), val
 
 
-@dataclass(frozen=True)
-class RingFamily:
-    """Membership implications i in S => j in S, one per arc (i, j).  The
-    feasible subsets are closed under union and intersection."""
-
-    arcs: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def of(arcs: Iterable[tuple[int, int]]) -> "RingFamily":
-        seen, out = set(), []
-        for (i, j) in arcs:
-            i, j = int(i), int(j)
-            if i == j or (i, j) in seen:
-                continue  # self-loops and duplicates are harmless; drop silently
-            seen.add((i, j))
-            out.append((i, j))
-        return RingFamily(tuple(out))
-
-
 def _count_violations(mask: int, arc_bits: list[tuple[int, int]]) -> int:
     return sum(1 for bi, bj in arc_bits if (mask & bi) and not (mask & bj))
 
 
 def _ring_detailed(
-    f: SetFunctionOracle, ring: RingFamily, cfg: SolverConfig
+    f: SetFunctionOracle, arcs: Sequence[tuple[int, int]], cfg: SolverConfig
 ) -> tuple[int, float, MinNormStats]:
-    for (i, j) in ring.arcs:
-        if not (0 <= i < f.m and 0 <= j < f.m):
-            raise ValidationError(f"ring arc ({i}, {j}) references elements outside range({f.m})")
-    arcs = RingFamily.of(ring.arcs).arcs
+    """Minimize f over the sets closed under the arcs, which lie in
+    range(f.m).  A closed minimizer of the penalized function is optimal for
+    any penalty weight, so checking closedness makes the heuristic weight
+    sound; a self-loop is never violated and a repeat only doubles a penalty."""
     if not arcs:
         return _minnorm_detailed(f, None, cfg)
-    arc_bits = [(1 << i, 1 << j) for (i, j) in arcs]
+    arc_bits = [(1 << int(i), 1 << int(j)) for (i, j) in arcs]
     # range bound from one greedy vertex: f(S) >= f(0) - sum|y| and
     # f(S) <= f(0) + sum of positive singleton marginals <= f(0) + sum|y| need
     # not hold, so the bound below is heuristic; closedness of the returned
@@ -345,7 +334,7 @@ def _ring_detailed(
     if f.integer_valued:
         M = float(math.ceil(M))
     total_stats = MinNormStats()
-    for attempt in range(cfg.penalty_retries):
+    for attempt in range(PENALTY_RETRIES):
         penalized = SetFunctionOracle(
             f.m,
             lambda mask, M=M: f(mask) + M * _count_violations(mask, arc_bits),
@@ -363,18 +352,5 @@ def _ring_detailed(
             return mask, value, total_stats
         M *= 2
     raise ConvergenceError(
-        f"ring-constrained minimization kept violating arcs after {cfg.penalty_retries} penalty doublings"
+        f"ring-constrained minimization kept violating arcs after {PENALTY_RETRIES} penalty doublings"
     )
-
-
-def sfm_over_ring(
-    f: SetFunctionOracle, ring: RingFamily, *, cfg: SolverConfig = DEFAULT_CONFIG
-) -> tuple[frozenset[int], float]:
-    """Minimize f among subsets satisfying every ring arc.
-
-    A minimizer of the penalized function that happens to be closed is optimal
-    among closed sets for any penalty weight, so the verification step makes
-    the heuristic initial weight sound.
-    """
-    mask, val, _ = _ring_detailed(f, ring, cfg)
-    return set_of(mask), val

@@ -57,16 +57,18 @@ from .reductions import (
 from .sfm import (
     FLOAT_GAP_FLOOR,
     MinNormStats,
-    RingFamily,
     SetFunctionOracle,
     _certified,
     _ring_detailed,
 )
-from .twosat import implications_of_clause, solve_2sat
+from .twosat import solve_2sat
 
 MODE_EXACT = "ExactMonotone"
 MODE_APPROX = "Approx2"
 MODE_BRUTE = "BruteForce"
+
+# Absolute slack of the floating-point certificate inequalities.
+CERTIFICATE_TOL = 1e-9
 
 
 @dataclass
@@ -203,10 +205,8 @@ def _solve_levels(
         integer_valued=integer_valued,
         label="level_lift",
     )
-    ring = RingFamily.of(
-        (pos[i], pos[j]) for (i, j) in system.all_arcs() if i in pos and j in pos
-    )
-    mask, _, stats = _ring_detailed(oracle, ring, cfg)
+    arcs = [(pos[i], pos[j]) for (i, j) in system.all_arcs() if i in pos and j in pos]
+    mask, _, stats = _ring_detailed(oracle, arcs, cfg)
     counts = decode_levels(system, expand(mask))
     return _LevelSolve(counts, stats, engine)
 
@@ -280,7 +280,7 @@ def solve_exact_monotone(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) 
     if gap <= FLOAT_GAP_FLOOR:
         return SolveResult(x, value, lower, MODE_EXACT, 1.0, True, diagnostics=diagnostics,
                            system=system)
-    ratio = value / lower if lower > cfg.certificate_tol else float("inf")
+    ratio = value / lower if lower > CERTIFICATE_TOL else float("inf")
     warning = (f"inner duality gap {gap:.3g} left open (wolfe_tol={cfg.wolfe_tol:g}); "
                "the value is certified only to within that gap")
     return SolveResult(x, value, lower, MODE_EXACT, ratio, True, (warning,), diagnostics, system)
@@ -417,7 +417,8 @@ def _witness_2sat(inst: Instance, system: LevelSystem) -> tuple[int, ...] | None
     None when there is none.
 
     Over threshold indicators the duplication's arcs are implications: each
-    arc a -> b is the clause (not a or b), each fixing a unit clause.  Minus
+    arc a -> b is the clause (not a or b), fed as a -> b and its
+    contrapositive not b -> not a, and each fixing is a unit clause.  Minus
     levels are not variables of their own: level (n + i, p) is the negation of
     plus level (i, u_i + 1 - p), which makes both copies agree, so the plus
     block of any satisfying assignment decodes to a feasible point.  The
@@ -432,7 +433,7 @@ def _witness_2sat(inst: Instance, system: LevelSystem) -> tuple[int, ...] | None
         lit += [2 * system.var(i, ub + 1 - p) + 1 for p in range(1, ub + 1)]
     implications: list[tuple[int, int]] = []
     for (lo, hi) in system.all_arcs():
-        implications += implications_of_clause(lit[lo] ^ 1, lit[hi])
+        implications += [(lit[lo], lit[hi]), (lit[hi] ^ 1, lit[lo] ^ 1)]
     for v, val in system.fixed.items():
         unit = lit[v] if val == 1 else lit[v] ^ 1
         implications.append((unit ^ 1, unit))
@@ -516,7 +517,7 @@ def solve_approx(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> Solve
 
     value = inst.objective(x)
     lower = relax.certified_lower
-    tol = cfg.certificate_tol
+    tol = CERTIFICATE_TOL
     if not _sample_nonnegativity(inst, relax, x, tol):
         warnings.append(
             "objective sampled negative: the factor-2 certificate assumes a nonnegative "

@@ -1,8 +1,9 @@
 """2-SAT via strongly connected components of the implication graph.
 
 Literals are encoded as 2*v for "variable v true" and 2*v + 1 for "variable v
-false".  Every clause (l1 or l2) contributes the implications not-l1 -> l2
-and not-l2 -> l1; a unit clause (l) contributes not-l -> l.  The formula is
+false", so ``lit ^ 1`` negates a literal.  Callers pass the implication graph
+directly: a clause (l1 or l2) is the implications not-l1 -> l2 and
+not-l2 -> l1, and a unit clause (l) is not-l -> l.  The formula is
 satisfiable iff no variable shares a component with its negation, and a
 satisfying assignment falls out of the component order.
 """
@@ -10,14 +11,6 @@ satisfying assignment falls out of the component order.
 from __future__ import annotations
 
 from typing import Iterable
-
-
-def _negate(lit: int) -> int:
-    return lit ^ 1
-
-
-def implications_of_clause(l1: int, l2: int) -> list[tuple[int, int]]:
-    return [(_negate(l1), l2), (_negate(l2), l1)]
 
 
 def _tarjan_scc(num_nodes: int, adj: list[list[int]]) -> list[int]:
@@ -72,8 +65,7 @@ def _tarjan_scc(num_nodes: int, adj: list[list[int]]) -> list[int]:
 def solve_2sat(num_vars: int, implications: Iterable[tuple[int, int]]) -> list[bool] | None:
     """Satisfying assignment or None.
 
-    ``implications`` are directed literal edges; callers usually build them
-    with :func:`implications_of_clause`.
+    ``implications`` are directed literal edges (see the module docstring).
     """
     n2 = 2 * num_vars
     adj: list[list[int]] = [[] for _ in range(n2)]

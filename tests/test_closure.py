@@ -109,6 +109,24 @@ def test_linear_closure_matches_enumeration_and_ring_route():
         assert ring_val == best_min
 
 
+def test_linear_closure_reads_repeated_arcs_self_loops_and_generators():
+    rng = random.Random(29)
+    for _ in range(40):
+        m = rng.randint(2, 8)
+        arcs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(1, 2 * m))]
+        w = [rng.choice([-1, 1]) * rng.randint(1, 6) for _ in range(m)]
+        clean = list(dict.fromkeys(a for a in arcs if a[0] != a[1]))
+        messy = arcs + rng.sample(arcs, rng.randint(1, len(arcs))) + [(v, v) for v in range(m)]
+        rng.shuffle(messy)
+        for sense in ("max", "min"):
+            expected = solve_linear_closure_mincut(w, clean, sense)
+            best = (max if sense == "max" else min)(
+                sum(w[i] for i in c) for c in closed_sets(m, clean))
+            assert expected[1] == best
+            assert solve_linear_closure_mincut(w, messy, sense) == expected
+            assert solve_linear_closure_mincut(w, (a for a in messy), sense) == expected
+
+
 def test_cut_to_closure_single_node_example():
     graph = StClosureGraph(
         node_count=1,

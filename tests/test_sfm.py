@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import submod2 as s
 from submod2 import (
-    RingFamily,
+    ClosureInstance,
     SetFunctionOracle,
     greedy_base_vertex,
     sfm_bruteforce,
     sfm_minnorm,
-    sfm_over_ring,
+    solve_sm_closure,
 )
 from submod2.errors import EnumerationCapExceeded, ValidationError
 
@@ -119,7 +119,7 @@ def test_minnorm_equals_bruteforce_on_random_mixes():
 
 def test_ring_minimization_respects_arcs():
     f = modular_oracle([-5, 3])
-    sub, val = sfm_over_ring(f, RingFamily.of([(0, 1)]))
+    sub, val = solve_sm_closure(ClosureInstance(2, ((0, 1),), f))
     assert sub == {0, 1}
     assert val == -2
 
@@ -128,7 +128,7 @@ def test_ring_empty_equals_unconstrained():
     rng = random.Random(9)
     for _ in range(10):
         f = gen.random_set_oracle(rng, rng.randint(1, 6))
-        assert sfm_over_ring(f, RingFamily.of([]))[1] == sfm_minnorm(f)[1]
+        assert solve_sm_closure(ClosureInstance(f.m, (), f))[1] == sfm_minnorm(f)[1]
 
 
 def test_ring_cycle_forces_all_or_nothing():
@@ -137,7 +137,7 @@ def test_ring_cycle_forces_all_or_nothing():
         m = rng.randint(2, 6)
         f = gen.random_set_oracle(rng, m)
         cycle = [(i, (i + 1) % m) for i in range(m)]
-        sub, val = sfm_over_ring(f, RingFamily.of(cycle))
+        sub, val = solve_sm_closure(ClosureInstance(m, tuple(cycle), f))
         full = (1 << m) - 1
         assert sub in (frozenset(), frozenset(range(m)))
         assert val == min(f(0), f(full))
@@ -150,7 +150,7 @@ def test_ring_output_satisfies_every_arc_and_is_optimal(seed):
     m = rng.randint(2, 7)
     f = gen.random_set_oracle(rng, m)
     arcs = gen.random_dag(rng, m, p=0.4)
-    sub, val = sfm_over_ring(f, RingFamily.of(arcs))
+    sub, val = solve_sm_closure(ClosureInstance(m, tuple(arcs), f))
     assert all(j in sub for (i, j) in arcs if i in sub)
     # independent check: enumerate closed sets
     best = min(
@@ -160,6 +160,21 @@ def test_ring_output_satisfies_every_arc_and_is_optimal(seed):
         if all(j in c for (i, j) in arcs if i in c)
     )
     assert val == best
+
+
+def test_ring_reads_repeated_arcs_and_self_loops_as_given():
+    rng = random.Random(23)
+    for _ in range(40):
+        m = rng.randint(2, 6)
+        f = gen.random_set_oracle(rng, m)
+        arcs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(1, 2 * m))]
+        arcs += rng.sample(arcs, rng.randint(1, len(arcs))) + [(v, v) for v in range(0, m, 2)]
+        rng.shuffle(arcs)
+        sub, val = solve_sm_closure(ClosureInstance(m, tuple(arcs), f))
+        closed = [set(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)
+                  if all(j in c for (i, j) in arcs if i in c)]
+        assert set(sub) in closed
+        assert val == f.eval_set(sub) == min(f.eval_set(c) for c in closed)
 
 
 def test_arc_violation_penalty_is_a_submodular_cut_function():
@@ -175,7 +190,7 @@ def test_arc_violation_penalty_is_a_submodular_cut_function():
 
 def test_ring_rejects_out_of_range_arcs():
     with pytest.raises(ValidationError):
-        sfm_over_ring(modular_oracle([1, 2]), RingFamily.of([(0, 5)]))
+        ClosureInstance(2, ((0, 5),), modular_oracle([1, 2]))
 
 
 def test_set_oracle_adapter_requires_binary_ground():

@@ -213,24 +213,24 @@ def test_relaxation_lower_bounds_twice_the_optimum():
 
 def test_round_up_takes_componentwise_max():
     inst = mk(GroundSet.binary(3), (), s.Modular((1, 1, 1)), roundup=True)
-    out = RelaxationOutcome((1, 1, 0), (-1, 0, 0), 0.0, 0.0, (1.0, 0.5, 0.0))
+    out = RelaxationOutcome((1, 1, 0), (-1, 0, 0), 0.0, 0.0)
     assert round_up(out, inst) == (1, 1, 0)
 
 
 def test_round_up_agreeing_copies_return_the_point_itself():
-    out = RelaxationOutcome((1, 0, 1), (-1, 0, -1), 0.0, 0.0, (1.0, 0.0, 1.0))
+    out = RelaxationOutcome((1, 0, 1), (-1, 0, -1), 0.0, 0.0)
     inst = mk(GroundSet.binary(3), (), s.Modular((1, 1, 1)), roundup=True)
     assert round_up(out, inst) == (1, 0, 1)
 
 
 def test_round_up_requires_declaration_and_verifies():
     inst_undeclared = mk(GroundSet.binary(1), (), s.Modular((1,)))
-    out = RelaxationOutcome((0,), (0,), 0.0, 0.0, (0.0,))
+    out = RelaxationOutcome((0,), (0,), 0.0, 0.0)
     with pytest.raises(ValidationError):
         round_up(out, inst_undeclared)
     # a fake outcome whose max violates the single covering constraint
     inst = mk(GroundSet.binary(2), (Constraint.pair(0, 1, 1, 1, 2),), s.Modular((1, 1)), roundup=True)
-    bad = RelaxationOutcome((1, 0), (0, 0), 0.0, 0.0, (0.5, 0.0))
+    bad = RelaxationOutcome((1, 0), (0, 0), 0.0, 0.0)
     with pytest.raises(RoundUpViolation):
         round_up(bad, inst)
 
@@ -248,7 +248,7 @@ def test_round_up_covers_random_vertex_cover_instances():
 
 def test_round_ell_clamps_witness_between_copies():
     inst = mk(GroundSet((3, 3, 3)), (), s.Modular((1, 1, 1)))
-    out = RelaxationOutcome((1, 2, 0), (-3, -2, 0), 0.0, 0.0, (2.0, 2.0, 0.0))
+    out = RelaxationOutcome((1, 2, 0), (-3, -2, 0), 0.0, 0.0)
     # bounds per coordinate: [1,3], [2,2], [0,0]
     assert round_ell(out, (2, 0, 1), inst) == (2, 2, 0)
     assert round_ell(out, (0, 3, 0), inst) == (1, 2, 0)
@@ -256,7 +256,7 @@ def test_round_ell_clamps_witness_between_copies():
 
 def test_round_ell_rejects_infeasible_witness():
     inst = mk(GroundSet.binary(2), (Constraint.pair(0, 1, 1, 1, 1),), s.Modular((1, 1)))
-    out = RelaxationOutcome((1, 1), (0, 0), 0.0, 0.0, (0.5, 0.5))
+    out = RelaxationOutcome((1, 1), (0, 0), 0.0, 0.0)
     with pytest.raises(ValidationError):
         round_ell(out, (0, 0), inst)
 

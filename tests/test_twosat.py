@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from submod2.twosat import implications_of_clause, solve_2sat
+from submod2.twosat import solve_2sat
 
 
 def brute_sat(n, clauses):
@@ -9,6 +9,10 @@ def brute_sat(n, clauses):
         if all(any(bits[v] == pol for (v, pol) in clause) for clause in clauses):
             return True
     return False
+
+
+def implications_of_clause(l1, l2):
+    return [(l1 ^ 1, l2), (l2 ^ 1, l1)]
 
 
 def to_implications(clauses):
