@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Survey the observed approximation ratio across random problem families.
 
-For each family, draws random instances, solves them with the certified
-factor-2 pipeline, computes the true optimum by enumeration, and prints the
-ratio distribution.  The certified bound is 2; this script shows how tight it
-runs in practice.
+For each of the five problem builders, draws random instances, solves them
+with the certified factor-2 pipeline, computes the true optimum by
+enumeration, and prints the ratio distribution.  The certified bound is 2;
+this script shows how tight it runs in practice.  It exits 1 when a value
+exceeds twice the optimum or a reported lower bound exceeds the optimum.
 
     python scripts/ratio_survey.py --per-family 200 --seed 7
 """
@@ -64,6 +65,14 @@ def draw_instance(rng, family):
                 lits[0] = -lits[0]
             clauses.append(tuple(lits))
         return s.build_min2sat(s.CnfSpec(n, tuple(clauses)), monotone_oracle(rng, n))
+    if family == "min_sat":
+        n = rng.randint(2, 6)
+        clauses = tuple(
+            tuple((1 if rng.random() < 0.5 else -1) * (v + 1)
+                  for v in rng.sample(range(n), rng.randint(1, min(n, 3))))
+            for _ in range(rng.randint(1, 6))
+        )
+        return s.build_minsat(s.CnfSpec(n, clauses), nonneg_oracle(rng, len(clauses)))
     if family == "clique_edge_delete":
         g = random_graph(rng, rng.randint(3, 6), 0.5, min_edges=1)
         return s.build_clique_edge_delete(g, nonneg_oracle(rng, len(g.edges)))
@@ -80,7 +89,7 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    families = ["vertex_cover", "min_2sat", "clique_edge_delete", "biclique_node_delete"]
+    families = ["vertex_cover", "min_2sat", "min_sat", "clique_edge_delete", "biclique_node_delete"]
     print(f"{'family':<22} {'solved':>6} {'mean':>7} {'p90':>7} {'worst':>7} {'time':>7}")
     for family in families:
         rng = random.Random((args.seed, family).__repr__())
@@ -96,6 +105,10 @@ def main():
             solved += 1
             if res.value > 2 * ref.value + 1e-9:
                 print(f"BOUND VIOLATION in {family}: {res.value} > 2*{ref.value}", file=sys.stderr)
+                return 1
+            if res.lower_bound > ref.value + 1e-9:
+                print(f"UNSOUND LOWER BOUND in {family}: {res.lower_bound} > {ref.value}",
+                      file=sys.stderr)
                 return 1
             ratios.append(res.value / ref.value if ref.value > 0 else 1.0)
         ratios.sort()

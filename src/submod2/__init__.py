@@ -10,6 +10,7 @@ from .core import (
     Complement,
     ConcaveCardinality,
     Coverage,
+    Embed,
     GraphCut,
     GroundSet,
     Modular,

@@ -41,6 +41,7 @@ from .core import (
     GroundSet,
     Modular,
     Sum,
+    _integer,
     make_family,
     verify_monotone,
     verify_submodular,
@@ -193,11 +194,11 @@ def parse_instance(source: str | IO[str]) -> Instance:
 
     if "n" not in doc:
         raise CliError("missing 'n'")
-    n = int(doc["n"])
-    bounds = doc.get("bounds", [1] * n)
-    if len(bounds) != n:
-        raise CliError(f"'bounds' has {len(bounds)} entries, expected {n}")
     try:
+        n = _integer(doc["n"], "'n'")
+        bounds = doc.get("bounds", [1] * n)
+        if len(bounds) != n:
+            raise CliError(f"'bounds' has {len(bounds)} entries, expected {n}")
         ground = GroundSet.boxed(bounds)
         objective = make_family(_family_from_json(doc["objective"], "objective"), ground)
         constraints = tuple(
@@ -210,7 +211,9 @@ def parse_instance(source: str | IO[str]) -> Instance:
             roundup_declared=bool(doc.get("roundup", False)),
             name=str(doc.get("name", "")),
         )
-    except ValidationError as exc:
+    except KeyError as exc:
+        raise CliError(f"missing field {exc}") from exc
+    except (TypeError, ValueError, ValidationError) as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -286,12 +289,9 @@ def _emit(doc: dict):
 
 
 def _config_from_args(args) -> SolverConfig:
-    cfg = DEFAULT_CONFIG
-    if args.tol is not None:
-        cfg = replace(cfg, wolfe_tol=float(args.tol))
-    if args.cap is not None:
-        cfg = replace(cfg, enumeration_cap=int(args.cap))
-    return cfg
+    if args.cap is None:
+        return DEFAULT_CONFIG
+    return replace(DEFAULT_CONFIG, enumeration_cap=args.cap)
 
 
 def _reduction_document(system: LevelSystem, monotonized: bool) -> dict:
@@ -336,8 +336,8 @@ def _cmd_solve(args) -> int:
         _emit(result_to_json(res, "optimal"))
         return 0
     # an emitted approx status promises ratio_bound <= 2; a voided certificate
-    # (negative objective samples, or an exact solve whose float gap stayed
-    # open) downgrades to a refusal
+    # (negative objective samples: every document objective takes the minimum
+    # cut, so no exact solve here leaves a float gap open) becomes a refusal
     if not res.ratio_bound <= 2 + CERTIFICATE_TOL:
         _emit({"status": "refused",
                "reason": "certificate void: " + "; ".join(res.warnings),
@@ -401,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance JSON path, or - for stdin")
-        p.add_argument("--tol", type=float, default=None,
-                       help="Wolfe tolerance (objectives without a family spec)")
         p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
         if name == "solve":
             p.add_argument("--mode", choices=("auto", "exact", "approx", "brute"), default="auto")

@@ -36,7 +36,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .core import Complement, ConcaveCardinality, Coverage, FamilySpec, GraphCut, Modular, Sum
+from .core import Complement, ConcaveCardinality, Coverage, Embed, FamilySpec, GraphCut, Modular, Sum
 from .errors import SolverError, ValidationError
 from .reductions import LevelSystem
 from .sfm import SetFunctionOracle, _ring_detailed, set_of
@@ -412,6 +412,8 @@ class _CutEnergy:
                 self.compile(part, levels, pos)
         elif isinstance(spec, Complement):
             self.compile(spec.inner, levels, not pos)
+        elif isinstance(spec, Embed):
+            self.compile(spec.inner, [levels[p] for p in spec.positions], pos)
         else:
             raise ValidationError(f"unknown family spec {spec!r}")
 

@@ -10,9 +10,9 @@ class SolverConfig:
     enumeration_cap     bounds the number of box points any exhaustive verifier
                         or brute-force solve may visit.
     wolfe_tol           tolerance of the min-norm-point solve, which runs only
-                        on objectives without a family spec (built-in
-                        families are solved by a minimum cut whose gap is
-                        checked against the 1e-7 floor).  Wolfe stops
+                        on opaque objectives of library callers (family
+                        specs, embedded ones too, take a minimum cut whose
+                        gap is checked against the 1e-7 floor).  Wolfe stops
                         as soon as its optimality certificate holds: f of the
                         best threshold set of the iterate x, less the lower
                         bound f(0) + sum(min(x, 0)), is below 1 for integer

@@ -43,7 +43,7 @@ class GroundSet:
 
     @staticmethod
     def boxed(bounds: Sequence[int]) -> "GroundSet":
-        return GroundSet(tuple(int(u) for u in bounds))
+        return GroundSet(tuple(_integer(u, "multiplicity bound") for u in bounds))
 
     @property
     def n(self) -> int:
@@ -61,6 +61,15 @@ class GroundSet:
 
     def total_levels(self) -> int:
         return sum(self.bounds)
+
+
+def _integer(v, what: str) -> int:
+    """An integral number as an int (2.0 reads as 2); anything else, a bool
+    included, is refused rather than truncated."""
+    whole = isinstance(v, float) and v.is_integer()
+    if whole or isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise ValidationError(f"{what} must be an integer, got {v!r}")
 
 
 def check_vector(ground: GroundSet, x: Sequence[int]) -> tuple[int, ...]:
@@ -184,17 +193,34 @@ class Complement:
     inner: "FamilySpec"
 
 
-FamilySpec = Modular | ConcaveCardinality | GraphCut | Coverage | Sum | Complement
+@dataclass(frozen=True)
+class Embed:
+    """Evaluates the inner family on the elements at ``positions`` (in that
+    order); the other elements contribute nothing."""
+
+    inner: "FamilySpec"
+    positions: tuple[int, ...]
+
+
+FamilySpec = Modular | ConcaveCardinality | GraphCut | Coverage | Sum | Complement | Embed
 
 
 def _is_integral(values) -> bool:
     return all(float(v) == int(v) for v in values)
 
 
+def _finite(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} must be finite")
+    return arr
+
+
 def make_family(spec: FamilySpec, ground: GroundSet) -> SubmodularOracle:
     """Instantiate a built-in family on a ground set, with validated structure
-    and correctly derived flags.  The spec is kept on the oracle (as
-    ``family_spec``) so instances can be serialized back to JSON."""
+    (finite weights and tables, in-range distinct positions) and correctly
+    derived flags.  The spec is kept on the oracle (as ``family_spec``): it
+    picks the minimum-cut engine and serializes instances back to JSON."""
     oracle = _make_family(spec, ground)
     oracle.family_spec = spec
     return oracle
@@ -205,7 +231,7 @@ def _make_family(spec: FamilySpec, ground: GroundSet) -> SubmodularOracle:
     if isinstance(spec, Modular):
         if len(spec.w) != n:
             raise ValidationError(f"modular weights: expected {n} entries, got {len(spec.w)}")
-        w = np.asarray(spec.w, dtype=float)
+        w = _finite(spec.w, "modular weights")
         return SubmodularOracle(
             ground,
             lambda x: float(np.dot(w, x)),
@@ -222,7 +248,7 @@ def _make_family(spec: FamilySpec, ground: GroundSet) -> SubmodularOracle:
             raise ValidationError(
                 f"concave table must have sum(bounds)+1 = {need} entries, got {len(spec.table)}"
             )
-        g = np.asarray(spec.table, dtype=float)
+        g = _finite(spec.table, "concave table")
         inc = np.diff(g)
         if np.any(inc[1:] > inc[:-1] + 1e-12):
             raise ValidationError("concave table must have non-increasing increments")
@@ -249,7 +275,7 @@ def _make_family(spec: FamilySpec, ground: GroundSet) -> SubmodularOracle:
             raise ValidationError("graph-cut weights must be nonnegative for submodularity")
         ei = np.array([e[0] for e in spec.edges], dtype=int)
         ej = np.array([e[1] for e in spec.edges], dtype=int)
-        ew = np.asarray(weights, dtype=float)
+        ew = _finite(weights, "graph-cut weights")
 
         def cut(x):
             return float(sum(w for (i, j), w in zip(spec.edges, weights) if x[i] != x[j]))
@@ -277,7 +303,7 @@ def _make_family(spec: FamilySpec, ground: GroundSet) -> SubmodularOracle:
         if any(w < 0 for w in spec.item_weights):
             raise ValidationError("coverage item weights must be nonnegative")
         members = [np.array([i for i in range(n) if it in spec.covers[i]], dtype=int) for it in range(items)]
-        iw = np.asarray(spec.item_weights, dtype=float)
+        iw = _finite(spec.item_weights, "coverage item weights")
 
         def cover_value(x):
             total = 0.0
@@ -320,6 +346,11 @@ def _make_family(spec: FamilySpec, ground: GroundSet) -> SubmodularOracle:
     if isinstance(spec, Complement):
         return reflect_complement(_make_family(spec.inner, ground))
 
+    if isinstance(spec, Embed):
+        # embed_oracle refuses a position outside the ground (bound 1 here)
+        sub = GroundSet(tuple(ground.bounds[p] if 0 <= p < n else 1 for p in spec.positions))
+        return embed_oracle(_make_family(spec.inner, sub), ground, spec.positions)
+
     raise ValidationError(f"unknown family spec {spec!r}")
 
 
@@ -340,7 +371,9 @@ def reflect_complement(oracle: SubmodularOracle) -> SubmodularOracle:
 
 def embed_oracle(inner: SubmodularOracle, ground: GroundSet, positions: Sequence[int]) -> SubmodularOracle:
     """Extend an oracle to a larger ground set; elements outside ``positions``
-    contribute zero marginally.  The extension preserves all structural flags."""
+    contribute zero marginally.  The extension preserves all structural flags
+    and keeps an inner family spec as an `Embed` spec (so the minimum cut
+    still minimizes it); an opaque inner oracle stays opaque."""
     pos = tuple(int(p) for p in positions)
     if len(pos) != inner.ground.n:
         raise ValidationError("positions must match the inner ground size")
@@ -352,7 +385,7 @@ def embed_oracle(inner: SubmodularOracle, ground: GroundSet, positions: Sequence
         if ground.bounds[p] != ub:
             raise ValidationError(f"bound mismatch at position {p}: {ground.bounds[p]} != {ub}")
     idx = np.array(pos, dtype=int)
-    return SubmodularOracle(
+    oracle = SubmodularOracle(
         ground,
         lambda x: inner(tuple(x[p] for p in pos)),
         claims_submodular=inner.claims_submodular,
@@ -361,6 +394,9 @@ def embed_oracle(inner: SubmodularOracle, ground: GroundSet, positions: Sequence
         batch_fn=lambda X: inner.eval_many(X[:, idx]),
         label=f"embedded({inner.label or 'custom'})",
     )
+    if inner.family_spec is not None:
+        oracle.family_spec = Embed(inner.family_spec, pos)
+    return oracle
 
 
 # ---------------------------------------------------------------------------

@@ -416,11 +416,6 @@ class Monotonized:
     def n(self) -> int:
         return self.base.ground.n
 
-    def embed(self, x: Sequence[int]) -> tuple[int, ...]:
-        """The duplicated image of an original point (both copies agree)."""
-        u = self.base.ground.bounds
-        return tuple(x) + tuple(ub - v for ub, v in zip(u, x))
-
     def split(self, x2n: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(plus-copy counts, minus-copy counts) of a duplicated point."""
         n = self.n
@@ -428,9 +423,6 @@ class Monotonized:
         plus = tuple(int(v) for v in x2n[:n])
         minus = tuple(int(ub - v) for ub, v in zip(u, x2n[n:]))
         return plus, minus
-
-    def violated_by(self, x2n: Sequence[int]) -> list[int]:
-        return [k for k, c in enumerate(self.constraints) if not c.holds(x2n)]
 
 
 def monotonize(inst: Instance) -> Monotonized:

@@ -27,7 +27,6 @@ import math
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .core import SubmodularOracle
 from .errors import ConvergenceError, EnumerationCapExceeded, ValidationError
 
 
@@ -55,22 +54,6 @@ class SetFunctionOracle:
             hit = float(self._fn(mask))
             self._cache[mask] = hit
         return hit
-
-    def eval_set(self, subset: Iterable[int]) -> float:
-        return self(mask_of(subset))
-
-    @staticmethod
-    def from_multiset(oracle: SubmodularOracle, label: str = "") -> "SetFunctionOracle":
-        """Adapter for a binary-ground multiset oracle."""
-        if not oracle.ground.is_binary:
-            raise ValidationError("set-function adapter requires a binary ground set")
-        m = oracle.ground.n
-        return SetFunctionOracle(
-            m,
-            lambda mask: oracle(tuple((mask >> i) & 1 for i in range(m))),
-            integer_valued=oracle.integer_valued,
-            label=label or oracle.label,
-        )
 
     def __repr__(self):
         return f"SetFunctionOracle({self.label or 'custom'}, m={self.m})"

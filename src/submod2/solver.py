@@ -340,8 +340,7 @@ def _relax(inst: Instance, mono: Monotonized, system: LevelSystem, cfg: SolverCo
 
     # prefer an agreeing optimum when one exists at the same value
     for cand in (plus, minus):
-        agreed = tuple(cand) + tuple(ub - v for ub, v in zip(u, cand))
-        if not mono.violated_by(agreed):
+        if not inst.violated_by(cand):
             cand_value = 2 * f(cand)
             if cand_value <= g_value + 1e-12:
                 plus = minus = tuple(cand)

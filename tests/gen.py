@@ -62,16 +62,17 @@ def random_oracle(rng, ground, **kw) -> s.SubmodularOracle:
 
 
 def random_spec(rng: random.Random, ground: s.GroundSet, *, integer=True, depth=2):
-    """Random built-in family spec of any shape: sums and nested complements
-    over every leaf family the ground admits, with float weights and tables
-    unless ``integer``."""
+    """Random built-in family spec of any shape: sums, nested complements and
+    embeddings on random position subsets over every leaf family the ground
+    (or the embedded sub-ground) admits, with float weights and tables unless
+    ``integer``."""
 
     def num(lo, hi):
         return rng.randint(lo, hi) if integer else rng.uniform(lo, hi)
 
     kinds = ["modular", "concave"] + (["coverage", "graph_cut"] if ground.is_binary else [])
     if depth > 0:
-        kinds += ["sum", "complement"]
+        kinds += ["sum", "complement", "embed"]
     kind = rng.choice(kinds)
     n = ground.n
     if kind == "modular":
@@ -92,7 +93,11 @@ def random_spec(rng: random.Random, ground: s.GroundSet, *, integer=True, depth=
     if kind == "sum":
         return s.Sum(tuple(random_spec(rng, ground, integer=integer, depth=depth - 1)
                            for _ in range(rng.randint(2, 3))))
-    return s.Complement(random_spec(rng, ground, integer=integer, depth=depth - 1))
+    if kind == "complement":
+        return s.Complement(random_spec(rng, ground, integer=integer, depth=depth - 1))
+    positions = tuple(rng.sample(range(n), rng.randint(1, n)))
+    sub = s.GroundSet(tuple(ground.bounds[p] for p in positions))
+    return s.Embed(random_spec(rng, sub, integer=integer, depth=depth - 1), positions)
 
 
 def opaque(oracle: s.SubmodularOracle) -> s.SubmodularOracle:

@@ -284,11 +284,11 @@ def test_gate_10_structure_verifiers():
 
 
 def test_gate_11_loose_tolerance_certificates_stay_sound(tmp_path, capsys):
-    """At --tol 0.5 Wolfe stops with a float gap open; the lower bound must
-    stay below the optimum and "optimal" must never be claimed above it.
-    Built-in families are solved by a minimum cut, which --tol does not
-    loosen, so the CLI pass must report all of them optimal; the open gaps
-    show on the same functions as opaque oracles."""
+    """At wolfe_tol=0.5 Wolfe stops with a float gap open; the lower bound
+    must stay below the optimum and "optimal" must never be claimed above it.
+    The CLI solves every document's objective by a minimum cut, which no
+    tolerance loosens, so the CLI pass must report all of them optimal; the
+    open gaps show on the same functions as opaque oracles."""
     rng = random.Random("loose-tolerance")
     n = 10
     ground = s.GroundSet.binary(n)
@@ -305,7 +305,7 @@ def test_gate_11_loose_tolerance_certificates_stay_sound(tmp_path, capsys):
         inst = s.Instance(ground, tuple(s.Constraint.pair(i, 1, j, -1, 0) for i, j in arcs if i != j), f)
         opt = s.brute_force_solve(inst).value
         path.write_text(json.dumps(instance_to_json(inst)))
-        code = main(["solve", str(path), "--tol", "0.5"])
+        code = main(["solve", str(path)])
         doc = json.loads(capsys.readouterr().out)
         assert code in (0, 3), doc
         assert doc["lower_bound"] <= opt + TOL, f"instance {k}: {doc['lower_bound']} > OPT {opt}"
@@ -319,9 +319,9 @@ def test_gate_11_loose_tolerance_certificates_stay_sound(tmp_path, capsys):
             assert res.value <= opt + 1e-7, f"instance {k}: optimal {res.value} > OPT {opt}"
         open_gaps += res.value > opt + 1e-7
     assert open_gaps > 0  # the tolerance is loose enough to leave Wolfe's gaps open
-    report(11, "loose-tolerance certificates", f"200 instances at --tol 0.5, {optimal} optimal "
-                                               f"by min-cut, {open_gaps} with an open gap as opaque "
-                                               "oracles, every bound sound")
+    report(11, "loose-tolerance certificates", f"200 instances, {optimal} optimal by min-cut, "
+                                               f"{open_gaps} with an open gap as opaque oracles at "
+                                               "wolfe_tol 0.5, every bound sound")
 
 
 def _engine_instance(rng, shape):
@@ -337,7 +337,7 @@ def test_gate_12_mincut_wolfe_and_brute_force_agree():
     same function as an opaque oracle, and by enumeration."""
     rng = random.Random("mincut-engine")
     checked = {"binary": 0, "multiset": 0, "general": 0}
-    floats = 0
+    floats = embedded = 0
     for k in range(600):
         shape = ("binary", "multiset", "general")[k % 3]
         base = _engine_instance(rng, shape)
@@ -369,5 +369,7 @@ def test_gate_12_mincut_wolfe_and_brute_force_agree():
             assert cut.certified_lower <= ref.value + TOL, f"instance {k}: bound above OPT"
         checked[shape] += 1
         floats += not f.integer_valued
+        embedded += "Embed(" in repr(f.family_spec)
     report(12, "min-cut engine", f"{sum(checked.values())} feasible instances ({checked}, "
-                                 f"{floats} float), min-cut = Wolfe = enumeration")
+                                 f"{floats} float, {embedded} with an embedded family), "
+                                 "min-cut = Wolfe = enumeration")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from submod2.cli import (
     main,
     parse_instance,
 )
+
+import gen
 
 TRIANGLE_VC = {
     "n": 3,
@@ -295,11 +298,13 @@ def test_diagnostics_fields_present(tmp_path, capsys):
     assert d["engine"] == "mincut" and d["cut_nodes"] > 0 and d["cut_arcs"] > 0
     assert d["sfm_iterations"] == d["sfm_evaluations"] == d["penalty_retries"] == 0
     assert isinstance(d["cut_phases"], int) and d["cut_phases"] >= 0
-    # min-SAT embeds its objective without a family spec, so Wolfe runs
+    # no document reaches Wolfe; an opaque objective, which only a library
+    # caller can pass, does, and its result reports no cut
     wolfe_doc = {"objective": {"kind": "modular", "w": [1, 2, 3]},
                  "problem": {"kind": "min_sat", "n": 3, "clauses": [[1, 3], [1], [2]]}}
-    _, out, _ = run_main(capsys, ["solve", write(tmp_path, wolfe_doc, "wolfe.json")])
-    d = out["diagnostics"]
+    inst = parse_instance(write(tmp_path, wolfe_doc, "wolfe.json"))
+    res = s.solve_auto(replace(inst, objective=gen.opaque(inst.objective)))
+    d = cli.result_to_json(res, "optimal")["diagnostics"]
     assert d["engine"] == "wolfe" and d["cut_nodes"] == d["cut_arcs"] == d["cut_phases"] == 0
 
 
@@ -315,10 +320,65 @@ def test_cap_flag_limits_enumeration(tmp_path, capsys):
     assert "cap" in out["message"]
 
 
-def test_tol_flag_accepted(tmp_path, capsys):
-    code, out, _ = run_main(capsys, ["solve", write(tmp_path, TRIANGLE_VC), "--tol", "1e-7"])
-    assert code == 0
-    assert out["status"] == "approx"
+@pytest.mark.parametrize("command", ["solve", "verify", "reduce", "brute"])
+def test_tol_flag_is_an_argparse_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, write(tmp_path, TRIANGLE_VC), "--tol", "0.5"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+BUILDER_DOCS = [
+    ({"kind": "vertex_cover", "edges": [[0, 1], [1, 2], [2, 3]]},
+     {"kind": "coverage", "covers": [[0], [0, 1], [1], [2]], "weights": [1.5, 2, 0.5]}),
+    ({"kind": "min_2sat", "n": 3, "clauses": [[1, 2], [-1, 3], [-2, -3]]},
+     {"kind": "concave_cardinality", "g": [0, 2, 3.5, 4]}),
+    ({"kind": "min_sat", "n": 3, "clauses": [[1, -2], [2, 3], [-3]]},
+     {"kind": "sum", "terms": [{"kind": "modular", "w": [1, 0.5, 2]},
+                               {"kind": "concave_cardinality", "g": [0, 1, 1.5, 1.75]}]}),
+    ({"kind": "clique_edge_delete", "n": 4, "edges": [[0, 1], [1, 2], [0, 2], [2, 3]]},
+     {"kind": "concave_cardinality", "g": [0, 2, 3, 3.5, 3.75]}),
+    ({"kind": "biclique_node_delete", "parts": [2, 2], "edges": [[0, 2], [1, 3]]},
+     {"kind": "modular", "w": [1, 2, 1, 2]}),
+]
+
+RAW_MIXED = {
+    "n": 3,
+    "bounds": [2, 1, 3],
+    "objective": {"kind": "concave_cardinality", "g": [0, 3, 5, 6.5, 7.5, 8, 8.25]},
+    "constraints": [{"i": 0, "a": 1, "j": 1, "b": 1, "c": 1},
+                    {"i": 1, "a": 1, "j": 2, "b": -1, "c": -1},
+                    {"i": 0, "a": -1, "j": 2, "b": -1, "c": -4}],
+}
+
+
+def test_every_document_objective_runs_on_the_minimum_cut(tmp_path, capsys):
+    docs = [{"problem": problem, "objective": objective} for problem, objective in BUILDER_DOCS]
+    for k, doc in enumerate(docs + [RAW_MIXED]):
+        path = write(tmp_path, doc, f"doc{k}.json")
+        code, out, _ = run_main(capsys, ["solve", path])
+        assert code == 0 and out["status"] in ("optimal", "approx"), (k, out)
+        d = out["diagnostics"]
+        assert (d["engine"], d["sfm_iterations"]) == ("mincut", 0), (k, d)
+        _, ref, _ = run_main(capsys, ["brute", path])
+        assert ref["value"] <= out["value"] <= 2 * ref["value"] + 1e-9, (k, out, ref)
+
+
+@pytest.mark.parametrize("change", [
+    {"n": "x"},
+    {"n": 2.7},
+    {"bounds": 5},
+    {"bounds": [1.5, 1]},
+    {"constraints": 5},
+    {"objective": {"kind": "modular", "w": [1, "inf"]}},
+    {"objective": {"kind": "modular", "w": [1, "nan"]}},
+])
+def test_malformed_raw_document_reports_error_json(tmp_path, capsys, change):
+    doc = {"n": 2, "objective": {"kind": "modular", "w": [1, 1]},
+           "constraints": [{"i": 0, "a": 1, "j": 1, "b": 1, "c": 1}], **change}
+    code, out, _ = run_main(capsys, ["solve", write(tmp_path, doc)])
+    assert code == 1
+    assert out["status"] == "error"
 
 
 def test_multiset_instance_end_to_end(tmp_path, capsys):
@@ -387,7 +447,7 @@ def test_main_reuses_one_parser_as_if_fresh(tmp_path, capsys, monkeypatch):
     # must leave the shared parser usable
     path = write(tmp_path, TRIANGLE_VC)
     argvs = [
-        ["solve", path, "--mode", "exact", "--tol", "1e-7"],
+        ["solve", path, "--mode", "exact", "--cap", "1000"],
         ["reduce", path, "--cap", "64"],
         ["solve", path, "--no-such-flag"],
         ["brute", path, "--cap", "8"],
@@ -412,7 +472,7 @@ def test_ratio_survey_script_stays_within_factor_two():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     worst = header.split().index("worst")
-    assert len(rows) == 4
+    assert len(rows) == 5
     assert all(float(row.split()[worst]) <= 2 for row in rows)
 
 
@@ -453,26 +513,34 @@ def test_malformed_problem_reports_error_json(tmp_path, capsys, problem):
     assert out["message"].startswith("problem:")
 
 
-def test_open_float_gap_is_not_reported_optimal(tmp_path, capsys):
-    # min-SAT embeds its clause objective into a larger ground, which drops
-    # the family spec, so this objective still reaches Wolfe.  At --tol 0.5
-    # the exact route stops at value 0 while the optimum is -0.36: the gap is
+def test_open_float_gap_is_not_reported_optimal(tmp_path, capsys, monkeypatch):
+    # as an opaque oracle this min-SAT objective goes through Wolfe, which at
+    # wolfe_tol=0.5 stops at value 0 while the optimum is -0.36: the gap is
     # open, so the answer is no optimum
     doc = {"objective": {"kind": "sum", "terms": [
                {"kind": "modular", "w": [-1.63, -1.56, -0.06]},
                {"kind": "concave_cardinality", "g": [0.0, 1.66, 2.83, 3.66]}]},
            "problem": {"kind": "min_sat", "n": 3, "clauses": [[1, 3], [1], [2]]}}
     path = write(tmp_path, doc)
-    opt = s.brute_force_solve(parse_instance(path)).value
+    inst = parse_instance(path)
+    opt = s.brute_force_solve(inst).value
     assert opt == pytest.approx(-0.36)
-    code, out, err = run_main(capsys, ["solve", path, "--tol", "0.5"])
+    loose = s.solve_exact_monotone(replace(inst, objective=gen.opaque(inst.objective)),
+                                   cfg=s.SolverConfig(wolfe_tol=0.5))
+    assert loose.value > opt + 0.1
+    assert loose.lower_bound <= opt
+    assert any("gap" in w for w in loose.warnings)
+    # the CLI maps such a result to a refusal
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_auto", lambda inst, cfg: loose)
+        code, out, err = run_main(capsys, ["solve", path])
     assert (code, out["status"]) == (3, "refused")
-    assert out["value"] > opt + 0.1
-    assert out["lower_bound"] <= opt
+    assert (out["value"], out["lower_bound"]) == (loose.value, loose.lower_bound)
     assert "gap" in err
+    # the document itself keeps its family spec: one minimum cut, optimal
     code, out, _ = run_main(capsys, ["solve", path])
     assert (code, out["status"]) == (0, "optimal")
     assert out["value"] == pytest.approx(opt)
     assert out["mode"] == "ExactMonotone"
-    assert out["diagnostics"]["engine"] == "wolfe"
+    assert out["diagnostics"]["engine"] == "mincut"
     assert out["diagnostics"]["sfm_exact"] is True

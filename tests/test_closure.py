@@ -9,6 +9,7 @@ from submod2 import (
     ConcaveCardinality,
     Constraint,
     Coverage,
+    Embed,
     GraphCut,
     GroundSet,
     Modular,
@@ -24,6 +25,7 @@ from submod2 import (
 )
 from submod2.closure import _Dinic, minimize_levels_mincut
 from submod2.errors import ValidationError
+from submod2.sfm import mask_of
 
 import gen
 
@@ -168,7 +170,7 @@ def test_cut_to_closure_matches_direct_cut_enumeration():
         graph = StClosureGraph(m, tuple(arcs), src, snk, modular_set(w))
         inst = sm_cut_to_closure(graph)
         _, val = solve_sm_closure(inst)
-        best = min(inst.objective.eval_set(c) for c in closed_sets(m, arcs))
+        best = min(inst.objective(mask_of(c)) for c in closed_sets(m, arcs))
         assert val == best
 
 
@@ -293,7 +295,7 @@ def _leaf(rng, family, ground, integer):
 
 
 @pytest.mark.parametrize("complemented", [False, True])
-@pytest.mark.parametrize("family", [Modular, ConcaveCardinality, Coverage, GraphCut, Sum])
+@pytest.mark.parametrize("family", [Modular, ConcaveCardinality, Coverage, GraphCut, Sum, Embed])
 def test_cut_energy_equals_the_objective_at_every_point(family, complemented):
     # pinning every level to the threshold set of x leaves the auxiliary nodes
     # free, so the constant plus the minimum cut is the compiled energy at x
@@ -306,6 +308,11 @@ def test_cut_energy_equals_the_objective_at_every_point(family, complemented):
         ground = GroundSet.binary(n) if binary else GroundSet(tuple(rng.randint(1, 3) for _ in range(n)))
         if family is Sum:
             spec = Sum(tuple(_leaf(rng, leaf, ground, integer) for leaf in (Modular, ConcaveCardinality)))
+        elif family is Embed:
+            positions = tuple(rng.sample(range(n), rng.randint(1, n)))
+            sub = GroundSet(tuple(ground.bounds[p] for p in positions))
+            leaves = (Modular, ConcaveCardinality) + ((Coverage, GraphCut) if sub.is_binary else ())
+            spec = Embed(_leaf(rng, rng.choice(leaves), sub, integer), positions)
         else:
             spec = _leaf(rng, family, ground, integer)
         if complemented:

@@ -9,6 +9,7 @@ from submod2 import (
     Complement,
     ConcaveCardinality,
     Coverage,
+    Embed,
     GraphCut,
     GroundSet,
     Modular,
@@ -52,6 +53,10 @@ def test_ground_set_validation():
         GroundSet((1, 0))
     assert GroundSet((2, 3)).box_size() == 12
     assert GroundSet.binary(4).is_binary
+    assert GroundSet.boxed([2.0, np.int64(3)]).bounds == (2, 3)
+    for bad in (1.5, "2", float("inf"), None, True):
+        with pytest.raises(ValidationError):
+            GroundSet.boxed([1, bad])
 
 
 def test_oracle_rejects_fractional_and_out_of_box_queries():
@@ -75,6 +80,15 @@ def test_family_dimension_and_domain_errors():
         make_family(ConcaveCardinality((0, 1, 3)), GroundSet.binary(2))  # convex step
     with pytest.raises(ValidationError):
         make_family(GraphCut(((0, 1),), (-1.0,)), GroundSet.binary(2))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_families_reject_non_finite_weights(bad):
+    binary = GroundSet.binary(2)
+    for spec in (Modular((1.0, bad)), ConcaveCardinality((0.0, 1.0, bad)),
+                 GraphCut(((0, 1),), (bad,)), Coverage(((0,), (1,)), (1.0, bad))):
+        with pytest.raises(ValidationError):
+            make_family(spec, binary)
 
 
 def test_verify_submodular_accepts_modular_rejects_square():
@@ -173,6 +187,25 @@ def test_embed_oracle_ignores_other_positions():
     assert outer((0, 1, 1, 1)) == 7
     assert outer((1, 0, 1, 0)) == 0
     assert outer.claims_monotone
+    assert outer.family_spec == Embed(Modular((2, 5)), (1, 3))
+    assert s.embed_oracle(gen.opaque(inner), GroundSet.binary(4), (1, 3)).family_spec is None
+
+
+def test_embed_family_matches_the_embedded_oracle():
+    ground = GroundSet((1, 2, 1, 3))
+    inner = Sum((Modular((2, -1)), Complement(ConcaveCardinality((0, 3, 5, 6, 6.5)))))
+    f = make_family(Embed(inner, (3, 0)), ground)
+    g = s.embed_oracle(make_family(inner, GroundSet((3, 1))), ground, (3, 0))
+    X = s.enumerate_box(ground)
+    assert np.array_equal(f.eval_many(X), g.eval_many(X))
+    assert (f.claims_submodular, f.claims_monotone, f.integer_valued) == (True, False, False)
+
+
+@pytest.mark.parametrize("positions", [(-1,), (4,), (2, 2)])
+def test_embed_family_rejects_bad_positions(positions):
+    # a negative position must not wrap round to the last element
+    with pytest.raises(ValidationError):
+        make_family(Embed(Modular((1,) * len(positions)), positions), GroundSet((1, 1, 1, 2)))
 
 
 @settings(max_examples=40, deadline=None)

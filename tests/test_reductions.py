@@ -57,7 +57,8 @@ def roundtrip_check(a, b, c, u_i, u_j):
     for xi in range(u_i + 1):
         for xj in range(u_j + 1):
             direct = a * xi + b * xj >= c
-            via_halves = all(fragment_allows(h, mono.embed((xi, xj))) for h in halves)
+            agreed = (xi, xj, u_i - xi, u_j - xj)
+            via_halves = all(fragment_allows(h, agreed) for h in halves)
             assert direct == via_halves, (
                 f"{a}*x0 + {b}*x1 >= {c} with bounds ({u_i}, {u_j}) at ({xi}, {xj}): "
                 f"direct={direct} monotonized={via_halves}"
@@ -246,8 +247,10 @@ def test_monotonize_feasible_points_embed_as_agreeing_pairs():
             ConstraintKind.MONOTONE,
             ConstraintKind.SINGLETON,
         }
+        u = inst.ground.bounds
         for x in gen.enumerate_feasible(inst):
-            assert not mono.violated_by(mono.embed(x))
+            agreed = tuple(x) + tuple(ub - v for ub, v in zip(u, x))
+            assert all(c.holds(agreed) for c in mono.constraints)
 
 
 def test_monotonize_feasible_pairs_satisfy_doubled_inequalities():
@@ -256,7 +259,7 @@ def test_monotonize_feasible_pairs_satisfy_doubled_inequalities():
         inst = gen.random_general_instance(rng, max_n=3, max_u=2)
         mono = monotonize(inst)
         for x2n in map(tuple, s.enumerate_box(mono.ground)):
-            if mono.violated_by(x2n):
+            if not all(c.holds(x2n) for c in mono.constraints):
                 continue
             plus, minus = mono.split(x2n)
             combined = tuple(p + m for p, m in zip(plus, minus))

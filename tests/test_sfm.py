@@ -15,6 +15,7 @@ from submod2 import (
     solve_sm_closure,
 )
 from submod2.errors import EnumerationCapExceeded, ValidationError
+from submod2.sfm import mask_of
 
 import gen
 
@@ -154,7 +155,7 @@ def test_ring_output_satisfies_every_arc_and_is_optimal(seed):
     assert all(j in sub for (i, j) in arcs if i in sub)
     # independent check: enumerate closed sets
     best = min(
-        f.eval_set(set(c))
+        f(mask_of(c))
         for r in range(m + 1)
         for c in itertools.combinations(range(m), r)
         if all(j in c for (i, j) in arcs if i in c)
@@ -174,7 +175,7 @@ def test_ring_reads_repeated_arcs_and_self_loops_as_given():
         closed = [set(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)
                   if all(j in c for (i, j) in arcs if i in c)]
         assert set(sub) in closed
-        assert val == f.eval_set(sub) == min(f.eval_set(c) for c in closed)
+        assert val == f(mask_of(sub)) == min(f(mask_of(c)) for c in closed)
 
 
 def test_arc_violation_penalty_is_a_submodular_cut_function():
@@ -192,12 +193,3 @@ def test_ring_rejects_out_of_range_arcs():
     with pytest.raises(ValidationError):
         ClosureInstance(2, ((0, 5),), modular_oracle([1, 2]))
 
-
-def test_set_oracle_adapter_requires_binary_ground():
-    multi = s.make_family(s.Modular((1, 1)), s.GroundSet((2, 2)))
-    with pytest.raises(ValidationError):
-        SetFunctionOracle.from_multiset(multi)
-    binary = s.make_family(s.Modular((2, -1)), s.GroundSet.binary(2))
-    adapted = SetFunctionOracle.from_multiset(binary)
-    assert adapted(0b01) == 2
-    assert adapted(0b10) == -1

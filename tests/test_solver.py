@@ -179,7 +179,7 @@ def test_relaxation_value_matches_duplicated_enumeration_on_triangle():
     best = min(
         inst.objective(mono.split(x)[0]) + inst.objective(mono.split(x)[1])
         for x in map(tuple, s.enumerate_box(mono.ground))
-        if not mono.violated_by(x)
+        if all(c.holds(x) for c in mono.constraints)
     )
     assert out.g_value == pytest.approx(best)
     assert out.g_value == 3  # both copies jointly cover each edge once
