@@ -80,6 +80,23 @@ class CliError(SolverError):
     pass
 
 
+def _count(v: Any, what: str) -> int:
+    """An element count, refused before anything is built from it when it
+    exceeds the level budget (every element takes at least one level)."""
+    n = _integer(v, what)
+    if n > DEFAULT_CONFIG.level_budget:
+        raise CliError(f"{what} = {n} exceeds the level budget of {DEFAULT_CONFIG.level_budget}")
+    return n
+
+
+def _pairs(rows: Any, what: str) -> tuple[tuple[int, int], ...]:
+    return tuple((_integer(i, what), _integer(j, what)) for i, j in rows)
+
+
+def _clauses(rows: Any) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(_integer(lit, "problem: clause literal") for lit in cl) for cl in rows)
+
+
 def _family_from_json(obj: Any, where: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise CliError(f"{where}: expected an object with a 'kind' field")
@@ -90,11 +107,12 @@ def _family_from_json(obj: Any, where: str):
         if kind == "concave_cardinality":
             return ConcaveCardinality(tuple(float(v) for v in obj["g"]))
         if kind == "graph_cut":
-            edges = tuple((int(i), int(j)) for i, j in obj["edges"])
+            edges = _pairs(obj["edges"], "edge endpoint")
             weights = tuple(float(w) for w in obj["weights"]) if "weights" in obj else None
             return GraphCut(edges, weights)
         if kind == "coverage":
-            covers = tuple(tuple(int(v) for v in cov) for cov in obj["covers"])
+            covers = tuple(tuple(_integer(v, "covered item") for v in cov)
+                           for cov in obj["covers"])
             return Coverage(covers, tuple(float(w) for w in obj["weights"]))
         if kind == "sum":
             return Sum(tuple(_family_from_json(p, f"{where}.terms[{k}]")
@@ -103,7 +121,7 @@ def _family_from_json(obj: Any, where: str):
             return Complement(_family_from_json(obj["inner"], f"{where}.inner"))
     except KeyError as exc:
         raise CliError(f"{where}: {kind} objective needs field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise CliError(f"{where}: malformed {kind} objective: {exc}") from exc
     raise CliError(f"{where}: unknown family kind {kind!r}")
 
@@ -112,9 +130,10 @@ def _constraint_from_json(obj: Any, where: str) -> Constraint:
     if not isinstance(obj, dict) or "i" not in obj or "a" not in obj or "c" not in obj:
         raise CliError(f"{where}: constraint needs at least fields i, a, c")
     try:
+        i = _integer(obj["i"], "'i'")
         if obj.get("j") is None:
-            return Constraint.single(int(obj["i"]), obj["a"], obj["c"])
-        return Constraint.pair(int(obj["i"]), obj["a"], int(obj["j"]), obj.get("b", 0), obj["c"])
+            return Constraint.single(i, obj["a"], obj["c"])
+        return Constraint.pair(i, obj["a"], _integer(obj["j"], "'j'"), obj.get("b", 0), obj["c"])
     except (ValidationError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{where}: {exc}") from exc
 
@@ -122,30 +141,30 @@ def _constraint_from_json(obj: Any, where: str) -> Constraint:
 def _problem_from_json(obj: Any, objective_spec: Any, doc: dict) -> Instance:
     kind = obj.get("kind")
     if kind == "vertex_cover":
-        edges = tuple((int(i), int(j)) for i, j in obj["edges"])
+        edges = _pairs(obj["edges"], "problem: edge endpoint")
         n = obj.get("n", 1 + max((max(e) for e in edges), default=-1))
-        g = GraphSpec(int(n), edges)
+        g = GraphSpec(_count(n, "problem: n"), edges)
         f = make_family(_family_from_json(objective_spec, "objective"), GroundSet.binary(g.node_count))
         return build_vertex_cover(g, f)
     if kind == "min_2sat":
-        cnf = CnfSpec(int(obj["n"]), tuple(tuple(int(l) for l in cl) for cl in obj["clauses"]))
+        cnf = CnfSpec(_count(obj["n"], "problem: n"), _clauses(obj["clauses"]))
         f = make_family(_family_from_json(objective_spec, "objective"), GroundSet.binary(cnf.var_count))
         return build_min2sat(cnf, f)
     if kind == "min_sat":
-        cnf = CnfSpec(int(obj["n"]), tuple(tuple(int(l) for l in cl) for cl in obj["clauses"]))
+        cnf = CnfSpec(_count(obj["n"], "problem: n"), _clauses(obj["clauses"]))
         f = make_family(_family_from_json(objective_spec, "objective"),
                         GroundSet.binary(len(cnf.clauses)))
         return build_minsat(cnf, f)
     if kind == "clique_edge_delete":
-        edges = tuple((int(i), int(j)) for i, j in obj["edges"])
-        g = GraphSpec(int(obj["n"]), edges)
+        edges = _pairs(obj["edges"], "problem: edge endpoint")
+        g = GraphSpec(_count(obj["n"], "problem: n"), edges)
         f = make_family(_family_from_json(objective_spec, "objective"),
                         GroundSet.binary(len(edges)))
         return build_clique_edge_delete(g, f)
     if kind == "biclique_node_delete":
-        edges = tuple((int(i), int(j)) for i, j in obj["edges"])
-        parts = (int(obj["parts"][0]), int(obj["parts"][1]))
-        g = GraphSpec(parts[0] + parts[1], edges, parts)
+        edges = _pairs(obj["edges"], "problem: edge endpoint")
+        parts = tuple(_integer(p, "problem: parts") for p in obj["parts"][:2])
+        g = GraphSpec(_count(sum(parts), "problem: parts total"), edges, parts)
         f = make_family(_family_from_json(objective_spec, "objective"),
                         GroundSet.binary(g.node_count))
         return build_biclique_node_delete(g, f)
@@ -195,7 +214,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
     if "n" not in doc:
         raise CliError("missing 'n'")
     try:
-        n = _integer(doc["n"], "'n'")
+        n = _count(doc["n"], "'n'")
         bounds = doc.get("bounds", [1] * n)
         if len(bounds) != n:
             raise CliError(f"'bounds' has {len(bounds)} entries, expected {n}")

@@ -17,15 +17,18 @@ of an s-t cut over the level indicators and a few auxiliary nodes (Picard
 1976; Kolmogorov & Zabih 2004), so one maximum flow gives the optimum and,
 through its value, a lower bound that certifies it.
 
-The max-flow is `_Dinic`.  On closure graphs almost all of the
-flow runs straight down the uncuttable precedence arcs (the structure
-Hochbaum's pseudoflow algorithm exploits), so a greedy forward pass pushes
-flow from source arcs to sink arcs along those arcs first, and Dinic's BFS
-phases finish from the flow it leaves; on open pits none are left to run.
-The cut read off afterwards is the set of nodes reachable from s in the
-residual graph, which is the same minimal minimum cut after every maximum
-flow, so the pass cannot change an answer; only the float sum of the flow
-value can differ in its last bits.
+The max-flow is `_Dinic`.  On closure graphs almost all of the flow runs
+straight down the uncuttable precedence arcs (the structure Hochbaum's
+pseudoflow algorithm exploits), so a forward pass first drains each source
+arc along those arcs with one depth-first search: it pushes into every sink
+arc it meets, books the flow on each tree arc once, on retreat, and retires
+whole strongly connected components that can send no more, so cycles cost
+no more than chains.  The cut is the set of nodes reachable from s in the
+residual graph; when the pass leaves t outside it, as on open pits, that set
+is the answer and no BFS runs, otherwise Dinic's BFS phases finish from the
+flow the pass leaves and the set is read again.  It is the same minimal
+minimum cut after every maximum flow, so the pass cannot change an answer;
+only the float sum of the flow value can differ in its last bits.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -81,33 +85,39 @@ def solve_sm_closure(
 
 
 class _Dinic:
-    """Maximum flow by Dinic's algorithm, after a greedy forward pass.
+    """Maximum flow by Dinic's algorithm, after a draining forward pass.
 
-    Arc ``eid`` is an input arc when even; ``eid ^ 1`` is its reverse twin,
-    which starts at capacity 0, so ``cap[eid] + cap[eid ^ 1]`` stays the
-    arc's capacity.  Arcs of capacity ``hard`` are the uncuttable ones.
-    `_forward_pass` first pushes flow from source arcs to sink arcs along
-    uncuttable input arcs only, which on closure graphs routes nearly all of
-    the flow; the BFS phases then run from the flow it leaves and can undo
-    any of it through the twins.  Every maximum flow leaves the same
-    residual reachability from s (the minimal minimum cut), so the pass
-    changes how fast the cut is found, not which cut.
+    The network is laid out from parallel tail, head and capacity sequences:
+    input arc k has id ``2k`` and its reverse twin ``2k + 1``, which starts
+    at capacity 0, so ``cap[eid] + cap[eid ^ 1]`` stays the arc's capacity.
+    ``head[u]`` lists the input arcs leaving u (the first ``out[u]`` ids)
+    and then the twins of the input arcs entering u, each group in id order.
+    A self-loop never carries flow.  Arcs of capacity ``hard`` are the
+    uncuttable ones.  `_forward_pass` first drains each source arc along
+    uncuttable input arcs into the sink arcs, booking the flow on each arc
+    once, on retreat, and retiring whole strongly connected components that
+    can send no more; on closure graphs that routes nearly all of the flow.
+    If t is still reachable from s, the BFS phases run from the flow it
+    leaves and can undo any of it through the twins.  Every maximum flow
+    leaves the same residual reachability from s (the minimal minimum cut),
+    so the pass changes how fast the cut is found, not which cut.
     """
 
-    def __init__(self, n: int, hard: float):
+    def __init__(self, n: int, hard: float, tails: Sequence[int], heads: Sequence[int],
+                 caps: Iterable[float]):
         self.n = n
         self.hard = hard
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-
-    def add_edge(self, u: int, v: int, c: float):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(float(c))
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
+        self.to = to = [0] * (2 * len(tails))
+        to[0::2] = heads
+        to[1::2] = tails
+        self.cap = cap = [0.0] * len(to)
+        cap[0::2] = map(float, caps)
+        self.head = head = [[] for _ in range(n)]
+        for eid, u in zip(range(0, len(to), 2), tails):
+            head[u].append(eid)
+        self.out = [len(arcs) for arcs in head]
+        for eid, v in zip(range(1, len(to), 2), heads):
+            head[v].append(eid)
 
     def _bfs(self, s: int, t: int) -> bool:
         self.level = [-1] * self.n
@@ -178,79 +188,135 @@ class _Dinic:
                 return flow
 
     def _forward_pass(self, s: int, t: int) -> float:
-        """Push flow along s-t paths of input arcs, one source arc at a time.
+        """Drain each source arc into the sink arcs, along uncuttable input
+        arcs, with one depth-first search per source arc.
 
-        Between its source arc and its sink arc a path uses uncuttable arcs
-        only.  Finite inner arcs are left to the BFS phases: on level graphs
-        many nodes share them, and on a 400-level concave objective a greedy
-        fill of them left up to 19 phases of ever longer paths where Dinic
-        alone needs about 4.
+        Finite inner arcs are left to the BFS phases: on level graphs many
+        nodes share them, and on a 400-level concave objective a greedy fill
+        of them left up to 19 phases of ever longer paths where Dinic alone
+        needs about 4.
 
-        Forward residuals only fall during the pass, so state kept across
-        source arcs stays true: ``it[u]`` skips arcs that are saturated or
-        lead to a ``dead`` node, one with no such residual path to t.
-        A node on the current path, or one that dead-ended earlier in this
-        source arc's search, carries the arc's id in ``mark`` and is passed
-        over without moving the pointer.  A push clears the marks past the
-        saturated arc.  Each step pushes, enters an unmarked node or
-        retreats, so the pass ends on graphs with cycles too.
+        A search node holds ``avail``, what its tree path can still carry,
+        and ``sent``, what its subtree has sent into t.  The search walks a
+        node's input arcs in order: it pushes ``min(avail, residual)`` into
+        each unsaturated sink arc and enters the head of each uncuttable arc
+        that this search has not reached yet.  The flow into a node is
+        booked on its tree arc once, when the search leaves it.  A node whose
+        ``avail`` runs out is left unfinished, and so, in turn, are its
+        ancestors unless their own arcs still have room.
+
+        The search keeps Tarjan lowlinks, with a node's entry index in
+        ``mark``.  A component root left with ``avail`` to spare has no
+        residual path to an unsaturated sink arc from any node of its
+        strongly connected component, since every arc out of it was tried;
+        those nodes become ``dead``, and no later search enters them.  An
+        unfinished node gets lowlink -1, so no ancestor retires it.  Forward
+        residuals only fall during the pass, so state kept across source
+        arcs stays true: ``it[u]`` skips arcs that are saturated, finite or
+        lead to a dead node.  An arc into a live node that the search reached
+        earlier holds the pointer, as the next search may need it.
         """
-        head, to, cap, hard = self.head, self.to, self.cap, self.hard
+        head, out, to, cap, hard = self.head, self.out, self.to, self.cap, self.hard
         it = [0] * self.n
         dead = [False] * self.n
         dead[s] = True
         mark = [-1] * self.n
+        clock = 0
         flow = 0.0
-        for src in head[s]:
-            if src & 1 or cap[src] <= 1e-12:
-                continue
-            path = [src]
+        for src in head[s][:out[s]]:
             u = to[src]
-            mark[u] = src
-            while path:
-                if u == t:
-                    pushed, cut = self._augment(path)
-                    flow += pushed
-                    for eid in path[cut:]:
-                        mark[to[eid]] = -1
-                    u = to[path[cut] ^ 1]
-                    del path[cut:]
-                    continue
+            if cap[src] <= 1e-12 or dead[u]:
+                continue
+            if u == t:
+                flow += cap[src]
+                cap[src ^ 1] += cap[src]
+                cap[src] = 0.0
+                continue
+            start = clock
+            e, avail, sent, low, k, live = src, cap[src], 0.0, clock, it[u], False
+            mark[u] = clock
+            clock += 1
+            component = [u]
+            stack = []
+            while True:
                 arcs = head[u]
-                end = len(arcs)
-                k = it[u]
-                stuck = False  # passed over a marked node
-                while k < end:
+                end = out[u]
+                child = -1
+                while k < end and avail > 1e-12:
                     eid = arcs[k]
-                    if not eid & 1 and cap[eid] > 1e-12:
-                        v = to[eid]
-                        if not dead[v] and (v == t or cap[eid] + cap[eid ^ 1] >= hard):
-                            if mark[v] != src:
-                                break
-                            if not stuck:
-                                it[u] = k
-                                stuck = True
                     k += 1
-                if not stuck:
-                    it[u] = k
-                if k < end:
-                    path.append(eid)
-                    mark[v] = src
-                    u = v
+                    c = cap[eid]
+                    if c > 1e-12:
+                        v = to[eid]
+                        if v == t:
+                            if c > avail:  # the excess runs out here
+                                cap[eid] = c - avail
+                                cap[eid ^ 1] += avail
+                                sent += avail
+                                avail = 0.0
+                                break
+                            cap[eid] = 0.0
+                            cap[eid ^ 1] += c
+                            sent += c
+                            avail -= c
+                        elif not dead[v] and c + cap[eid ^ 1] >= hard:
+                            if mark[v] < start:
+                                child = v
+                                break
+                            if mark[v] < low:
+                                low = mark[v]
+                            live = live or v != u  # a self-loop never carries flow
+                            continue
+                    if not live:
+                        it[u] = k
+                if child >= 0:
+                    stack.append((u, e, avail, sent, low, k, live))
+                    u, e, sent, k, live = child, eid, 0.0, it[child], False
+                    if c < avail:
+                        avail = c
+                    low = mark[u] = clock
+                    clock += 1
+                    component.append(u)
+                    continue
+                if avail <= 1e-12:
+                    low = -1  # unfinished: no ancestor may retire u
+                elif low == mark[u]:  # a component root with room to spare
+                    while True:
+                        v = component.pop()
+                        dead[v] = True
+                        if v == u:
+                            break
+                cap[e] -= sent  # book the subtree's flow on the tree arc
+                cap[e ^ 1] += sent
+                if not stack:
+                    flow += sent
+                    break
+                v, ce, low_v = u, e, low
+                used = sent
+                u, e, avail, sent, low, k, live = stack.pop()
+                avail -= used
+                sent += used
+                if not dead[v] and low_v < low:
+                    low = low_v
+                if dead[v] or cap[ce] <= 1e-12:
+                    if not live:
+                        it[u] = k
                 else:
-                    dead[u] = not stuck
-                    path.pop()
-                    if path:
-                        u = to[path[-1]]
+                    live = True
         return flow
 
     def max_flow(self, s: int, t: int) -> float:
-        """Flow value; ``phases`` counts the BFS phases run after the pass."""
+        """Flow value; ``phases`` counts the BFS phases run after the pass, and
+        ``source_side`` holds the nodes reachable from s in the final
+        residual graph."""
         flow = self._forward_pass(s, t)
         self.phases = 0
-        while self._bfs(s, t):
-            self.phases += 1
-            flow += self._blocking_flow(s, t)
+        self.source_side = self.reachable_from(s)
+        if t in self.source_side:  # the pass left an augmenting path
+            while self._bfs(s, t):
+                self.phases += 1
+                flow += self._blocking_flow(s, t)
+            self.source_side = self.reachable_from(s)
         return flow
 
     def reachable_from(self, s: int) -> set[int]:
@@ -266,26 +332,28 @@ class _Dinic:
         return seen
 
 
-def _min_cut(
-    nodes: int, finite: Sequence[tuple[int, int, float]], hard: Sequence[tuple[int, int]]
-) -> tuple[set[int], float, int]:
+def _columns(rows: Sequence[tuple], width: int) -> list[list]:
+    """The first ``width`` columns of a sequence of rows, as parallel lists.
+    (``zip(*rows)`` would make one GC-tracked iterator per row, enough on an
+    open pit to set off several collections per solve.)"""
+    return [list(map(itemgetter(k), rows)) for k in range(width)]
+
+
+def _min_cut(nodes: int, finite: list[list], hard: list[list[int]]) -> tuple[set[int], float, int]:
     """Minimal minimum s-t cut over inner nodes 0..nodes-1, s = nodes and
     t = nodes + 1: its inner source side, the flow and the Dinic phases run
-    after the forward pass.  ``finite`` arcs are (a, b, capacity >= 0);
-    ``hard`` arcs (a, b) get 1 + the finite sum, which no minimum cut crosses
-    while some cut avoids them all."""
+    after the forward pass.  ``finite`` holds parallel tail, head and
+    capacity (>= 0) lists; the arcs of the ``hard`` tail and head lists get
+    capacity 1 + the finite sum, which no minimum cut crosses while some cut
+    avoids them all."""
     s, t = nodes, nodes + 1
-    infinite = 1.0 + sum(c for _, _, c in finite)
-    net = _Dinic(nodes + 2, infinite)
-    for (a, b, c) in finite:
-        net.add_edge(a, b, c)
-    for (a, b) in hard:
-        if a != b:  # a self-loop carries no flow, and the forward pass could never retire its node
-            net.add_edge(a, b, infinite)
+    (ft, fh, fc), (ht, hh) = finite, hard
+    infinite = 1.0 + sum(fc)
+    net = _Dinic(nodes + 2, infinite, ft + ht, fh + hh, fc + [infinite] * len(ht))
     flow = net.max_flow(s, t)
     if flow > infinite - 0.5:
         raise SolverError("internal: the minimum cut crosses an uncuttable arc")
-    return net.reachable_from(s) - {s}, flow, net.phases
+    return net.source_side - {s}, flow, net.phases
 
 
 def solve_linear_closure_mincut(
@@ -307,13 +375,14 @@ def solve_linear_closure_mincut(
     w = [float(v) for v in weights]
     n = len(w)
     hard = list(arcs)
-    for (i, j) in hard:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"arc ({i}, {j}) out of range")
+    tails, heads = _columns(hard, 2)
+    if hard and (min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n):
+        i, j = next((i, j) for (i, j) in hard if not (0 <= i < n and 0 <= j < n))
+        raise ValidationError(f"arc ({i}, {j}) out of range")
     gain = w if sense == "max" else [-v for v in w]
     s, t = n, n + 1
-    finite = [(s, v, g) if g > 0 else (v, t, -g) for v, g in enumerate(gain)]
-    closure = frozenset(_min_cut(n, finite, hard)[0])
+    finite = _columns([(s, v, g) if g > 0 else (v, t, -g) for v, g in enumerate(gain)], 3)
+    closure = frozenset(_min_cut(n, finite, [tails, heads])[0])
     if not all(j in closure for (i, j) in hard if i in closure):
         raise ValidationError("internal: min-cut source side is not closed")  # pragma: no cover
     return closure, sum((w[i] for i in closure), 0.0)
@@ -444,7 +513,7 @@ def minimize_levels_mincut(system: LevelSystem, specs: Sequence[FamilySpec]) -> 
             constant += c
             finite.append((s, v, -c))
     hard = system.all_arcs() + [(s, v) if val else (v, t) for v, val in system.fixed.items()]
-    source_side, flow, phases = _min_cut(nodes, finite, hard)
+    source_side, flow, phases = _min_cut(nodes, _columns(finite, 3), _columns(hard, 2))
     members = frozenset(v for v in source_side if v < system.level_count)
     return LevelCut(members, constant + flow, nodes + 2, len(finite) + len(hard), phases)
 

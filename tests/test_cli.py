@@ -544,3 +544,49 @@ def test_open_float_gap_is_not_reported_optimal(tmp_path, capsys, monkeypatch):
     assert out["mode"] == "ExactMonotone"
     assert out["diagnostics"]["engine"] == "mincut"
     assert out["diagnostics"]["sfm_exact"] is True
+
+
+MODULAR2 = {"kind": "modular", "w": [1, 1]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"problem": {"kind": "min_2sat", "n": 2.7, "clauses": [[1, 2]]}, "objective": MODULAR2},
+    {"problem": {"kind": "min_sat", "n": 2, "clauses": [[1.5], [2]]}, "objective": MODULAR2},
+    {"problem": {"kind": "vertex_cover", "edges": [[0.9, 1.2]]}, "objective": MODULAR2},
+    {"problem": {"kind": "vertex_cover", "edges": [[0, True]]}, "objective": MODULAR2},
+    {"problem": {"kind": "clique_edge_delete", "n": 2.5, "edges": [[0, 1]]},
+     "objective": {"kind": "modular", "w": [1]}},
+    {"problem": {"kind": "biclique_node_delete", "parts": [1.5, 1.5], "edges": [[0, 1]]},
+     "objective": MODULAR2},
+    {"n": 2, "objective": MODULAR2, "constraints": [{"i": 0.9, "a": 1, "j": 1.7, "b": 1, "c": 1}]},
+    {"n": 2, "objective": {"kind": "graph_cut", "edges": [[0.5, 1.5]]}, "constraints": []},
+    {"n": 2, "objective": {"kind": "coverage", "covers": [[0.5], [1]], "weights": [1, 1]},
+     "constraints": []},
+])
+def test_non_integer_indices_and_counts_are_refused(tmp_path, capsys, doc):
+    code, out, _ = run_main(capsys, ["solve", write(tmp_path, doc)])
+    assert code == 1
+    assert out["status"] == "error"
+    assert "must be an integer" in out["message"]
+
+
+def test_integral_floats_read_as_integers(tmp_path, capsys):
+    whole = {"problem": {"kind": "min_2sat", "n": 2.0, "clauses": [[1.0, 2]]}, "objective": MODULAR2}
+    exact = {"problem": {"kind": "min_2sat", "n": 2, "clauses": [[1, 2]]}, "objective": MODULAR2}
+    assert run_main(capsys, ["solve", write(tmp_path, whole)]) == \
+        run_main(capsys, ["solve", write(tmp_path, exact, "exact.json")])
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 100_001, "objective": MODULAR2, "constraints": []},
+    {"problem": {"kind": "vertex_cover", "n": 100_001, "edges": [[0, 1]]}, "objective": MODULAR2},
+    {"problem": {"kind": "vertex_cover", "edges": [[0, 100_000]]}, "objective": MODULAR2},
+])
+def test_counts_above_the_level_budget_are_refused_before_building(tmp_path, capsys, monkeypatch, doc):
+    # every element takes at least one level, so a larger count can never
+    # solve; nothing of its size may be built first
+    monkeypatch.setattr(cli, "GroundSet", None)
+    code, out, _ = run_main(capsys, ["solve", write(tmp_path, doc)])
+    assert code == 1
+    assert out["status"] == "error"
+    assert f"level budget of {s.DEFAULT_CONFIG.level_budget}" in out["message"]

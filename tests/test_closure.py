@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +28,7 @@ from submod2 import (
     solve_linear_closure_mincut,
     solve_sm_closure,
 )
-from submod2.closure import _Dinic, minimize_levels_mincut
+from submod2.closure import _columns, _Dinic, minimize_levels_mincut
 from submod2.errors import ValidationError
 from submod2.sfm import mask_of
 
@@ -235,15 +240,25 @@ def test_linear_closure_solves_long_chains():
 
 def _random_network(rng):
     # nodes 0..n-3 inner, s = n-2, t = n-1; arcs drawn with replacement, so
-    # parallel and antiparallel arcs and cycles all occur
+    # parallel and antiparallel arcs and cycles all occur.  Some networks also
+    # get a strongly connected block of uncuttable arcs whose nodes hold sink
+    # arcs, and uncuttable source and sink arcs.
     n = rng.randint(2, 9)
+    s, t = n - 2, n - 1
     arcs = []
     for _ in range(rng.randint(0, 3 * n)):
         u, v = rng.sample(range(n), 2)
         c = rng.choice([0, 1, 2, 3, round(rng.uniform(0, 3), 3), rng.uniform(0, 3)])
         arcs.append((u, v, c))
+    block = rng.sample(range(s), rng.randint(2, s)) if s >= 2 and rng.random() < 0.5 else []
+    arcs += [(v, t, rng.choice([1, 2, rng.uniform(0, 2)])) for v in block]
     infinite = 1.0 + sum(c for _, _, c in arcs)
     arcs = [(u, v, infinite if rng.random() < 0.15 else c) for u, v, c in arcs]
+    arcs += [(u, v, infinite) for u, v in zip(block, block[1:] + block[:1])]
+    if s and rng.random() < 0.3:
+        arcs.append((s, rng.randrange(s), infinite))
+    if s and rng.random() < 0.3:
+        arcs.append((rng.randrange(s), t, infinite))
     return n, arcs, infinite
 
 
@@ -252,9 +267,7 @@ def test_max_flow_equals_the_minimum_cut_by_enumeration():
     for _ in range(400):
         n, arcs, infinite = _random_network(rng)
         s, t = n - 2, n - 1
-        net = _Dinic(n, infinite)
-        for u, v, c in arcs:
-            net.add_edge(u, v, c)
+        net = _Dinic(n, infinite, *_columns(arcs, 3))
         flow = net.max_flow(s, t)
         # a feasible flow: within capacity and conserved at every inner node
         balance = [0.0] * n
@@ -278,12 +291,77 @@ def test_max_flow_reroutes_what_the_forward_pass_blocks():
     # which leaves b no input-arc path to t; only a Dinic phase through the
     # twin of a->x reaches the flow of 2
     a, b, x, y, s, t = range(6)
-    net = _Dinic(6, 1)
-    for u, v in [(s, a), (s, b), (a, x), (a, y), (b, x), (x, t), (y, t)]:
-        net.add_edge(u, v, 1)
+    arcs = [(s, a), (s, b), (a, x), (a, y), (b, x), (x, t), (y, t)]
+    net = _Dinic(6, 1, *_columns(arcs, 2), [1] * len(arcs))
     assert net.max_flow(s, t) == 2
     assert net.phases >= 1
     assert net.reachable_from(s) == {s}
+
+
+def test_linear_closure_drains_a_saturated_ring_in_linear_time():
+    # every node but 0 gains, and all the flow runs round the ring into node
+    # 0's sink arc; a pass that searches the ring again for each source arc
+    # takes seconds here
+    n = 3000
+    weights, arcs = [-1] + [1] * (n - 1), [(i, (i + 1) % n) for i in range(n)]
+    start = time.process_time()
+    closure, value = solve_linear_closure_mincut(weights, arcs)
+    assert time.process_time() - start < 1.0
+    assert closure == frozenset(range(n))
+    assert value == n - 2
+
+
+def _pit(rng, depth, width):
+    # block (d, p) needs the blocks at depth d - 1 and positions p - 1..p + 1
+    arcs = [(d * width + p, (d - 1) * width + q)
+            for d in range(1, depth) for p in range(width) for q in (p - 1, p, p + 1) if 0 <= q < width]
+    weights = [rng.choice([-2, -1, -1, 5, 40]) if d > 2 else -1
+               for d in range(depth) for p in range(width)]
+    return weights, arcs
+
+
+def _components(n, arcs):
+    # strongly connected components from pairwise reachability
+    succ = [[] for _ in range(n)]
+    for i, j in arcs:
+        succ[i].append(j)
+    reach = []
+    for v in range(n):
+        seen, todo = {v}, [v]
+        while todo:
+            for j in succ[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    comp = [-1] * n
+    count = 0
+    for v in range(n):
+        if comp[v] < 0:
+            for u in reach[v]:
+                if v in reach[u]:
+                    comp[u] = count
+            count += 1
+    return comp, count
+
+
+def test_cyclic_pit_matches_its_contracted_components():
+    # reversed copies of 5 % of a pit's arcs tie blocks into strongly connected
+    # components, which lie wholly inside or outside every closed set
+    rng = random.Random("cyclic-pit")
+    for _ in range(4):
+        weights, arcs = _pit(rng, 12, 16)
+        arcs += [(j, i) for (i, j) in rng.sample(arcs, round(0.05 * len(arcs)))]
+        closure, value = solve_linear_closure_mincut(weights, arcs)
+        comp, count = _components(len(weights), arcs)
+        assert count < len(weights) - 10
+        merged = [0] * count
+        for v, w in enumerate(weights):
+            merged[comp[v]] += w
+        contracted = {(comp[i], comp[j]) for (i, j) in arcs if comp[i] != comp[j]}
+        members, merged_value = solve_linear_closure_mincut(merged, contracted)
+        assert closure == {v for v in range(len(weights)) if comp[v] in members}
+        assert value == merged_value
 
 
 def _leaf(rng, family, ground, integer):
@@ -329,3 +407,19 @@ def test_cut_energy_equals_the_objective_at_every_point(family, complemented):
                 assert cut.lower == f(x)
             points += 1
     assert points > 50
+
+
+def test_closure_rows_script_prints_every_row():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "closure_rows.py"), "--pits", "2", "--depth", "6",
+         "--width", "10", "--chain", "40", "--levels", "12"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["row", "nodes", "arcs", "solves", "ms_p50", "ms_max"]
+    assert [row.split()[0] for row in rows] == ["pit", "pit-cyclic", "chain", "ring", "dense"]
+    assert all(float(row.split()[4]) >= 0 for row in rows)
