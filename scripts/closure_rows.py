@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Seeded CPU time per solve of the minimum-cut engine on closure graphs.
+"""Seeded CPU time per solve of the minimum-cut engine on closure graphs, and
+of Wolfe's method on opaque vertex covers.
 
 Each row times one kind of graph, solve by solve, with the process CPU clock
 (input building is not timed) and prints the median and the largest time:
@@ -16,10 +17,19 @@ Each row times one kind of graph, solve by solve, with the process CPU clock
                 level system of ``--levels`` levels (elements of bound 4),
                 minimized by `closure.minimize_levels_mincut`
 
-    python scripts/closure_rows.py --seed 1
-    python scripts/closure_rows.py --pits 2 --depth 6 --width 10 --chain 50 --levels 16
+A second table times Wolfe's method, one `solve_auto` per size in
+``--opaque``:
 
-It exits 1 when the chain or the ring gets a wrong answer.
+    opaque      vertex cover of 2n random edges under weights 1-9 plus a
+                concave cardinality term with increments max(1, 3n // (k+1)),
+                passed as an opaque callable; it prints the Wolfe iterations,
+                penalty retries, value and lower bound
+
+    python scripts/closure_rows.py --seed 1
+    python scripts/closure_rows.py --pits 2 --depth 6 --width 10 --chain 50 --levels 16 --opaque 6
+
+It exits 1 when the chain or the ring gets a wrong answer, or when an opaque
+cover's value or lower bound differs from the minimum cut's on its family.
 """
 
 import argparse
@@ -28,6 +38,7 @@ import random
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 import submod2 as s
 from submod2.closure import minimize_levels_mincut
@@ -63,6 +74,27 @@ def dense_system(rng, levels):
     return system, (s.Sum((s.Modular(modular), s.ConcaveCardinality(table))),)
 
 
+def concave_cover(rng, n):
+    w = tuple(rng.randint(1, 9) for _ in range(n))
+    edges = set()
+    while len(edges) < min(2 * n, n * (n - 1) // 2):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    table = [0]
+    for k in range(n):
+        table.append(table[-1] + max(1, 3 * n // (k + 1)))
+    f = s.make_family(s.Sum((s.Modular(w), s.ConcaveCardinality(tuple(table)))), s.GroundSet.binary(n))
+    return s.build_vertex_cover(s.GraphSpec(n, tuple(sorted(edges))), f)
+
+
+def opaque(inst):
+    """The instance with its objective stripped of the family spec, so that
+    `solve_auto` minimizes it with Wolfe's method."""
+    f = inst.objective
+    return replace(inst, objective=s.SubmodularOracle(
+        f.ground, f, claims_submodular=f.claims_submodular, claims_monotone=f.claims_monotone,
+        integer_valued=f.integer_valued, batch_fn=f.eval_many, label="opaque"))
+
+
 def timed(solve, inputs):
     times, outs = [], []
     for args in inputs:
@@ -81,6 +113,8 @@ def main():
     parser.add_argument("--chain", type=int, default=3000, help="nodes of the chain and the ring")
     parser.add_argument("--levels", type=int, default=400,
                         help="levels of the dense system (4 per element, at least 8)")
+    parser.add_argument("--opaque", default="20,40,60",
+                        help="comma-separated sizes of the opaque covers (at least 2 nodes)")
     args = parser.parse_args()
 
     rng = random.Random(f"closure-rows-{args.seed}")
@@ -109,8 +143,17 @@ def main():
             failed |= outs[0] != (frozenset(range(n)), float(n - 2 if name == "ring" else 6))
         print(f"{name:<11} {nodes:>6} {arcs:>7} {len(times):>6} "
               f"{statistics.median(times):>8.1f} {max(times):>8.1f}")
+    print(f"\n{'row':<11} {'n':>6} {'iters':>7} {'retries':>7} {'ms':>8} {'value':>9} {'lower':>9}")
+    for n in (int(v) for v in args.opaque.split(",")):
+        inst = concave_cover(random.Random(args.seed), n)
+        family = s.solve_auto(inst)
+        [ms], [res] = timed(s.solve_auto, [(opaque(inst),)])
+        d = res.diagnostics
+        failed |= (res.value, res.lower_bound) != (family.value, family.lower_bound)
+        print(f"{'opaque':<11} {n:>6} {d['sfm_iterations']:>7} {d['penalty_retries']:>7} "
+              f"{ms:>8.1f} {res.value:>9.1f} {res.lower_bound:>9.1f}")
     if failed:
-        print("wrong answer on the chain or the ring", file=sys.stderr)
+        print("wrong answer on the chain, the ring or an opaque cover", file=sys.stderr)
     return 1 if failed else 0
 
 

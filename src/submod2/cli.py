@@ -89,6 +89,14 @@ def _count(v: Any, what: str) -> int:
     return n
 
 
+def _budget_constraints(count: int, kind: str) -> None:
+    """The level budget also caps the constraints a builder makes: refuse a
+    larger count before any constraint is built."""
+    if count > DEFAULT_CONFIG.level_budget:
+        raise CliError(f"problem: {kind} would build {count} constraints, more than the level "
+                       f"budget of {DEFAULT_CONFIG.level_budget}")
+
+
 def _pairs(rows: Any, what: str) -> tuple[tuple[int, int], ...]:
     return tuple((_integer(i, what), _integer(j, what)) for i, j in rows)
 
@@ -158,6 +166,8 @@ def _problem_from_json(obj: Any, objective_spec: Any, doc: dict) -> Instance:
     if kind == "clique_edge_delete":
         edges = _pairs(obj["edges"], "problem: edge endpoint")
         g = GraphSpec(_count(obj["n"], "problem: n"), edges)
+        n = g.node_count
+        _budget_constraints(n * (n - 1) // 2 - len(edges), kind)  # one cover per non-edge
         f = make_family(_family_from_json(objective_spec, "objective"),
                         GroundSet.binary(len(edges)))
         return build_clique_edge_delete(g, f)
@@ -165,6 +175,9 @@ def _problem_from_json(obj: Any, objective_spec: Any, doc: dict) -> Instance:
         edges = _pairs(obj["edges"], "problem: edge endpoint")
         parts = tuple(_integer(p, "problem: parts") for p in obj["parts"][:2])
         g = GraphSpec(_count(sum(parts), "problem: parts total"), edges, parts)
+        n1, n2 = parts
+        cross = sum(1 for i, j in edges if (i < n1) != (j < n1))
+        _budget_constraints(n1 * n2 - cross, kind)  # one cover per missing cross pair
         f = make_family(_family_from_json(objective_spec, "objective"),
                         GroundSet.binary(g.node_count))
         return build_biclique_node_delete(g, f)

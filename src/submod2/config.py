@@ -26,9 +26,10 @@ class SolverConfig:
 
     Fixed limits are module constants: `sfm.BRUTEFORCE_CAP` (largest binary
     ground set the exhaustive set-function minimizer accepts),
-    `sfm.PENALTY_RETRIES` (penalty doublings of the ring-constrained
-    minimizer) and `solver.CERTIFICATE_TOL` (absolute slack of the
-    floating-point certificate inequalities).
+    `sfm.PENALTY_RETRIES` (retries of the ring-constrained minimizer after
+    its tight first penalty weight: one at the wide weight, then doublings)
+    and `solver.CERTIFICATE_TOL` (absolute slack of the floating-point
+    certificate inequalities).
     """
 
     enumeration_cap: int = 1 << 20

@@ -5,9 +5,11 @@ solver (`sfm_minnorm`) built from Wolfe's method over the base polytope with
 the greedy linear oracle, which stops as soon as its duality certificate
 proves the best threshold set of the iterate optimal (within the tolerance,
 for float objectives).  `_ring_detailed` minimizes among the closed sets
-of a digraph by adding a scaled count of violated arcs, which is itself a
-directed cut function and therefore keeps the objective submodular; its
-public entry is `closure.solve_sm_closure`.
+of a digraph by adding a weighted count of violated arcs, which is itself a
+directed cut function and therefore keeps the objective submodular.  The
+weight starts tight, at 1 + max|y| over one greedy vertex y; only when the
+answer is not closed does it widen to 1 + |f(0)| + sum|y| and then double.
+Its public entry is `closure.solve_sm_closure`.
 
 The solver runs these engines only on objectives it cannot see into (opaque
 callables); built-in families are minimized by one minimum cut instead
@@ -85,7 +87,9 @@ def _lex_key(mask: int, m: int) -> tuple[int, ...]:
 # Largest ground set `sfm_bruteforce` enumerates (2**m evaluations).
 BRUTEFORCE_CAP = 22
 
-# Penalty doublings `_ring_detailed` tries before it gives up.
+# Retries `_ring_detailed` makes after its tight first penalty weight, the
+# first at the wide weight and each later one at twice the last, before it
+# gives up.
 PENALTY_RETRIES = 10
 
 
@@ -308,16 +312,18 @@ def _ring_detailed(
     if not arcs:
         return _minnorm_detailed(f, None, cfg)
     arc_bits = [(1 << int(i), 1 << int(j)) for (i, j) in arcs]
-    # range bound from one greedy vertex: f(S) >= f(0) - sum|y| and
-    # f(S) <= f(0) + sum of positive singleton marginals <= f(0) + sum|y| need
-    # not hold, so the bound below is heuristic; closedness of the returned
-    # set is verified and the penalty doubles on failure.
+    # Both weights come from one greedy vertex y.  The first try takes the
+    # tight 1 + max|y| (Chakrabarty, Jain & Kothari 2014), which is usually
+    # enough and keeps the base polytope Wolfe walks small: its iterations
+    # grow with the weight.  When the returned set is not closed, the weight
+    # widens to 1 + |f(0)| + sum|y| or twice the last, whichever is larger.
     y = greedy_base_vertex(f, list(range(f.m)))
-    M = 1.0 + abs(f(0)) + float(np.abs(y).sum())
+    M = 1.0 + float(np.abs(y).max())
+    wide = 1.0 + abs(f(0)) + float(np.abs(y).sum())
     if f.integer_valued:
-        M = float(math.ceil(M))
+        M, wide = float(math.ceil(M)), float(math.ceil(wide))
     total_stats = MinNormStats()
-    for attempt in range(PENALTY_RETRIES):
+    for attempt in range(PENALTY_RETRIES + 1):
         penalized = SetFunctionOracle(
             f.m,
             lambda mask, M=M: f(mask) + M * _count_violations(mask, arc_bits),
@@ -333,7 +339,7 @@ def _ring_detailed(
             value = f(mask)
             total_stats.evaluations = len(f._cache)
             return mask, value, total_stats
-        M *= 2
+        M = max(2 * M, wide)
     raise ConvergenceError(
-        f"ring-constrained minimization kept violating arcs after {PENALTY_RETRIES} penalty doublings"
+        f"ring-constrained minimization kept violating arcs after {PENALTY_RETRIES} penalty retries"
     )

@@ -109,6 +109,21 @@ def opaque(oracle: s.SubmodularOracle) -> s.SubmodularOracle:
                               label="opaque")
 
 
+def concave_cover(rng: random.Random, n: int) -> s.Instance:
+    """Vertex cover of 2n random edges (all pairs below n = 5) under weights
+    1-9 plus a concave cardinality term with increments max(1, 3n // (k+1)),
+    the objective a family."""
+    w = tuple(rng.randint(1, 9) for _ in range(n))
+    edges = set()
+    while len(edges) < min(2 * n, n * (n - 1) // 2):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    table = [0]
+    for k in range(n):
+        table.append(table[-1] + max(1, 3 * n // (k + 1)))
+    f = s.make_family(s.Sum((s.Modular(w), s.ConcaveCardinality(tuple(table)))), s.GroundSet.binary(n))
+    return s.build_vertex_cover(s.GraphSpec(n, tuple(sorted(edges))), f)
+
+
 def random_set_oracle(rng: random.Random, m: int) -> s.SetFunctionOracle:
     """Integer-valued submodular set function: modular + graph cut + concave
     cardinality mix, with a random constant offset."""

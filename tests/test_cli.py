@@ -590,3 +590,24 @@ def test_counts_above_the_level_budget_are_refused_before_building(tmp_path, cap
     assert code == 1
     assert out["status"] == "error"
     assert f"level budget of {s.DEFAULT_CONFIG.level_budget}" in out["message"]
+
+
+@pytest.mark.parametrize("problem, builder, count", [
+    # 448 * 447 / 2 pairs less the one edge
+    ({"kind": "clique_edge_delete", "n": 448, "edges": [[0, 1]]}, "build_clique_edge_delete", 100_127),
+    # 250 * 401 cross pairs less the one cross edge
+    ({"kind": "biclique_node_delete", "parts": [250, 401], "edges": [[0, 250], [0, 1]]},
+     "build_biclique_node_delete", 100_249),
+])
+def test_constraint_counts_above_the_level_budget_are_refused_before_building(
+        tmp_path, capsys, monkeypatch, problem, builder, count):
+    # one cover constraint per missing pair: the count is known before any
+    # is built, and past the budget none may be
+    monkeypatch.setattr(cli, "GroundSet", None)
+    monkeypatch.setattr(cli, builder, None)
+    doc = {"problem": problem, "objective": {"kind": "modular", "w": [1]}}
+    code, out, _ = run_main(capsys, ["solve", write(tmp_path, doc)])
+    assert code == 1
+    assert out["status"] == "error"
+    assert f"{count} constraints" in out["message"]
+    assert f"level budget of {s.DEFAULT_CONFIG.level_budget}" in out["message"]

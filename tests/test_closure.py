@@ -415,11 +415,16 @@ def test_closure_rows_script_prints_every_row():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "closure_rows.py"), "--pits", "2", "--depth", "6",
-         "--width", "10", "--chain", "40", "--levels", "12"],
+         "--width", "10", "--chain", "40", "--levels", "12", "--opaque", "5,6"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
+    cuts, wolfe = proc.stdout.split("\n\n")
+    header, *rows = cuts.splitlines()
     assert header.split() == ["row", "nodes", "arcs", "solves", "ms_p50", "ms_max"]
     assert [row.split()[0] for row in rows] == ["pit", "pit-cyclic", "chain", "ring", "dense"]
     assert all(float(row.split()[4]) >= 0 for row in rows)
+    header, *rows = wolfe.splitlines()
+    assert header.split() == ["row", "n", "iters", "retries", "ms", "value", "lower"]
+    assert [row.split()[:2] for row in rows] == [["opaque", "5"], ["opaque", "6"]]
+    assert all(int(row.split()[2]) > 0 for row in rows)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -460,6 +461,34 @@ def test_tight_tolerance_stops_on_the_certificate():
     assert d["sfm_exact"] is True and d["duality_gap"] < 1
     assert 0 < d["sfm_evaluations"] < 2 ** d["level_count"]
     assert res.value == brute_force_solve(inst).value
+
+
+def test_widened_penalty_recovers_the_minimum_cut_answer():
+    # the tight first penalty leaves an arc violated on this min-2SAT case;
+    # the retry at the wide weight returns the closed optimum
+    cnf = s.CnfSpec(6, ((-1, -4), (-4, 5), (-2, -1), (-6, -2), (1, -3), (-3, -6), (1, -2), (2, -6),
+                        (2, 5)))
+    covers = ((5,), (3, 6), (3,), (1, 3), (1, 6), (3, 5, 6))
+    f = s.make_family(s.Sum((s.Modular((4, 2, 3, 1, 2, 1)), s.Coverage(covers, (1, 4, 2, 2, 2, 1, 2)))),
+                      GroundSet.binary(6))
+    family = solve_auto(s.build_min2sat(cnf, f))
+    res = solve_auto(s.build_min2sat(cnf, gen.opaque(f)))
+    assert res.diagnostics["engine"] == "wolfe"
+    assert res.diagnostics["penalty_retries"] >= 1
+    assert (res.x, res.value, res.lower_bound) == (family.x, family.value, family.lower_bound)
+    assert res.x == (0, 0, 0, 0, 1, 0) and res.value == res.lower_bound == 8
+
+
+def test_opaque_concave_cover_takes_few_wolfe_iterations():
+    # Wolfe's iterations grow with the penalty weight: on this cover's 80
+    # free levels the wide weight 1 + |f(0)| + sum|y| takes 441 of them, the
+    # tight first weight 1 + max|y| 46
+    inst = gen.concave_cover(random.Random(1), 40)
+    family = solve_auto(inst)
+    res = solve_auto(replace(inst, objective=gen.opaque(inst.objective)))
+    assert res.diagnostics["engine"] == "wolfe"
+    assert res.diagnostics["sfm_iterations"] <= 100
+    assert (res.value, res.lower_bound) == (family.value, family.lower_bound)
 
 
 def test_family_objectives_solve_by_one_minimum_cut():
