@@ -53,10 +53,7 @@ from .reductions import (
     Instance,
     LevelSystem,
     Monotonized,
-    binarize_monotone,
     build_level_system,
-    classify,
-    cleared_coefficients,
     decode_levels,
     monotonize,
     monotonized_system,

@@ -138,11 +138,10 @@ def _constraint_from_json(obj: Any, where: str) -> Constraint:
     if not isinstance(obj, dict) or "i" not in obj or "a" not in obj or "c" not in obj:
         raise CliError(f"{where}: constraint needs at least fields i, a, c")
     try:
-        i = _integer(obj["i"], "'i'")
         if obj.get("j") is None:
-            return Constraint.single(i, obj["a"], obj["c"])
-        return Constraint.pair(i, obj["a"], _integer(obj["j"], "'j'"), obj.get("b", 0), obj["c"])
-    except (ValidationError, ValueError, ZeroDivisionError) as exc:
+            return Constraint.single(obj["i"], obj["a"], obj["c"])
+        return Constraint.pair(obj["i"], obj["a"], obj["j"], obj.get("b", 0), obj["c"])
+    except ValidationError as exc:
         raise CliError(f"{where}: {exc}") from exc
 
 
@@ -269,10 +268,6 @@ def family_to_json(spec) -> dict:
     raise CliError(f"cannot serialize family {spec!r}")
 
 
-def _coef_to_json(v):
-    return int(v) if v.denominator == 1 else str(v)
-
-
 def instance_to_json(inst: Instance) -> dict:
     """Instance document that parses back to an equivalent instance.  Only
     available when the objective was built from a family spec."""
@@ -283,9 +278,7 @@ def instance_to_json(inst: Instance) -> dict:
         "bounds": list(inst.ground.bounds),
         "objective": family_to_json(inst.objective.family_spec),
         "constraints": [
-            {"i": c.i, "a": _coef_to_json(c.a),
-             **({"j": c.j, "b": _coef_to_json(c.b)} if c.j is not None else {}),
-             "c": _coef_to_json(c.c)}
+            {"i": c.i, "a": c.a, **({"j": c.j, "b": c.b} if c.j is not None else {}), "c": c.c}
             for c in inst.constraints
         ],
         "roundup": inst.roundup_declared,

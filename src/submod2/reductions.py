@@ -1,15 +1,17 @@
 """Two-variable inequality systems over bounded integer variables and their
 reductions to binary form.
 
-Constraints are stored uniformly as a*x_i + b*x_j >= c with exact rational
-coefficients.  A constraint is *monotone* when a and b have strictly opposite
-signs; systems of monotone (and singleton) constraints binarize into pure
-precedence arcs between level indicator variables and are solvable exactly as
-closed-set problems.  A general system has one encoding as well: its plus/minus
-duplication (`monotonize`) is monotone, and binarizes into arcs over 2n
-elements.  The factor-2 relaxation minimizes over the closed sets of that arc
-graph, and the same graph read as implications, with each minus-copy level
-standing for the negation of a plus-copy level, is the system's 2-SAT formula.
+Constraints are stored uniformly as a*x_i + b*x_j >= c with integer
+coefficients: each is read exactly once, at construction, and the three are
+scaled by the lcm of their denominators.  A constraint is *monotone* when a
+and b have strictly opposite signs; systems of monotone (and singleton)
+constraints binarize into pure precedence arcs between level indicator
+variables and are solvable exactly as closed-set problems.  A general system
+has one encoding as well: its plus/minus duplication (`monotonize`) is
+monotone, and binarizes into arcs over 2n elements.  The factor-2 relaxation
+minimizes over the closed sets of that arc graph, and the same graph read as
+implications, with each minus-copy level standing for the negation of a
+plus-copy level, is the system's 2-SAT formula.
 
 Level indicators follow the usual threshold convention: the p-th indicator of
 element i is 1 exactly when x_i >= p, so per element the indicators form a
@@ -24,24 +26,33 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, SolverConfig
-from .core import GroundSet, SubmodularOracle
+from .core import GroundSet, SubmodularOracle, _integer
 from .errors import ChainViolation, ValidationError
 
 
-def _rat(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _rat(v) -> int | Fraction:
+    """The exact value of one coefficient, as an int when it is integral.
+    Ints, numpy integers, Fractions, decimal or fraction strings and floats
+    are read; a float means its shortest printed decimal, not its binary
+    value."""
+    if type(v) is int:
         return v
-    if isinstance(v, bool):
-        raise ValidationError("coefficients must be numbers")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, float):
-        # exact value of the printed decimal, not of the binary float
-        return Fraction(repr(v))
-    raise ValidationError(f"cannot interpret coefficient {v!r}")
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    value = None
+    if isinstance(v, Fraction):
+        value = v
+    elif isinstance(v, (str, float, np.floating)):
+        try:
+            value = Fraction(v if isinstance(v, str) else repr(float(v)))
+        except (ValueError, ZeroDivisionError):
+            pass
+    if value is None:
+        raise ValidationError(f"cannot interpret coefficient {v!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 class ConstraintKind(enum.Enum):
@@ -52,32 +63,49 @@ class ConstraintKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Constraint:
-    """a*x_i + b*x_j >= c; ``j`` may be None for singleton constraints."""
+    """a*x_i + b*x_j >= c; ``j`` may be None for singleton constraints.
+
+    The coefficients may be given as ints, Fractions, floats or decimal and
+    fraction strings; they are stored as the ints that the lcm of their
+    denominators scales them to, which keeps the feasible set.  ``kind`` is
+    derived from their signs."""
 
     i: int
-    a: Fraction
+    a: int
     j: int | None
-    b: Fraction
-    c: Fraction
+    b: int
+    c: int
+    kind: ConstraintKind = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _rat(self.a))
-        object.__setattr__(self, "b", _rat(self.b))
-        object.__setattr__(self, "c", _rat(self.c))
-        if self.j is None and self.b != 0:
+        i = _integer(self.i, "constraint index i")
+        j = None if self.j is None else _integer(self.j, "constraint index j")
+        a, b, c = _rat(self.a), _rat(self.b), _rat(self.c)
+        scale = lcm(a.denominator, b.denominator, c.denominator)
+        if scale != 1:
+            a, b, c = int(a * scale), int(b * scale), int(c * scale)
+        if j is None and b != 0:
             raise ValidationError("singleton constraint must have b = 0")
-        if self.a == 0 and self.b == 0:
+        if a == 0 and b == 0:
             raise ValidationError("constraint needs a nonzero coefficient")
-        if self.j is not None and self.i == self.j:
+        if j is not None and i == j:
             raise ValidationError("the two variables of a constraint must differ")
+        if j is None or a == 0 or b == 0:
+            kind = ConstraintKind.SINGLETON
+        elif (a > 0) != (b > 0):
+            kind = ConstraintKind.MONOTONE
+        else:
+            kind = ConstraintKind.NON_MONOTONE
+        for name, value in zip(("i", "a", "j", "b", "c", "kind"), (i, a, j, b, c, kind)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def single(i: int, a, c) -> "Constraint":
-        return Constraint(i, _rat(a), None, Fraction(0), _rat(c))
+        return Constraint(i, a, None, 0, c)
 
     @staticmethod
     def pair(i: int, a, j: int, b, c) -> "Constraint":
-        return Constraint(i, _rat(a), j, _rat(b), _rat(c))
+        return Constraint(i, a, j, b, c)
 
     def as_tuple(self):
         return (self.i, self.a, self.j, self.b, self.c)
@@ -92,20 +120,6 @@ class Constraint:
         if self.j is None or self.b == 0:
             return f"{self.a}*x{self.i} >= {self.c}"
         return f"{self.a}*x{self.i} + {self.b}*x{self.j} >= {self.c}"
-
-
-def classify(c: Constraint) -> ConstraintKind:
-    if c.j is None or c.a == 0 or c.b == 0:
-        return ConstraintKind.SINGLETON
-    if (c.a > 0) != (c.b > 0):
-        return ConstraintKind.MONOTONE
-    return ConstraintKind.NON_MONOTONE
-
-
-def cleared_coefficients(c: Constraint) -> tuple[int, int, int]:
-    """Integer (a, b, c) with the same feasible set, denominators cleared."""
-    mult = lcm(c.a.denominator, c.b.denominator, c.c.denominator)
-    return (int(c.a * mult), int(c.b * mult), int(c.c * mult))
 
 
 @dataclass(frozen=True)
@@ -130,110 +144,12 @@ class Instance:
     def violated_by(self, x: Sequence[int]) -> list[int]:
         return [k for k, c in enumerate(self.constraints) if not c.holds(x)]
 
-    def kinds(self) -> set[ConstraintKind]:
-        return {classify(c) for c in self.constraints}
-
     @property
     def is_monotone(self) -> bool:
         """True when every constraint is monotone or a singleton: the system
         then binarizes as it stands and solves exactly; otherwise it is solved
         through its plus/minus duplication."""
-        return ConstraintKind.NON_MONOTONE not in self.kinds()
-
-
-# ---------------------------------------------------------------------------
-# per-constraint binarization fragments
-# ---------------------------------------------------------------------------
-
-Level = tuple[int, int]  # (element, level p >= 1)
-
-
-@dataclass
-class Fragment:
-    """Binary-level constraints produced from one inequality.  Closure arcs
-    are (lo, hi) pairs meaning lo <= hi."""
-
-    closure_arcs: list[tuple[Level, Level]] = field(default_factory=list)
-    fix_one: list[Level] = field(default_factory=list)
-    fix_zero: list[Level] = field(default_factory=list)
-    infeasible_reason: str | None = None
-
-    @property
-    def vacuous(self) -> bool:
-        return (
-            self.infeasible_reason is None
-            and not self.closure_arcs
-            and not self.fix_one
-            and not self.fix_zero
-        )
-
-    def _infeasible(self, reason: str) -> "Fragment":
-        self.infeasible_reason = reason
-        return self
-
-
-def _ceil_div(p: int, q: int) -> int:
-    # q > 0
-    return -((-p) // q)
-
-
-def _binarize_singleton(idx: int, a: int, c: int, ground: GroundSet) -> Fragment:
-    frag = Fragment()
-    u = ground.bounds[idx]
-    if a > 0:
-        lower = _ceil_div(c, a)
-        if lower > u:
-            return frag._infeasible(f"x{idx} >= {lower} but its bound is {u}")
-        if lower >= 1:
-            frag.fix_one.append((idx, lower))
-    else:
-        upper = -c // -a
-        if upper < 0:
-            return frag._infeasible(f"x{idx} <= {upper} is impossible")
-        if upper < u:
-            frag.fix_zero.append((idx, upper + 1))
-    return frag
-
-
-def binarize_monotone(c: Constraint, ground: GroundSet) -> Fragment:
-    """Translate one monotone inequality into precedence arcs and fixings on
-    level indicators.
-
-    Writing the constraint as A*head - B*tail >= C with A, B > 0, the level
-    threshold q(p) = ceil((C + B*p) / A) gives tail_p <= head_{q(p)} for each
-    tail level p; q(p) above the head bound forbids the tail level, below 1 it
-    imposes nothing.  The p = 0 term carries the unconditional part: even a
-    zero tail forces head >= q(0).
-    """
-    kind = classify(c)
-    if kind == ConstraintKind.SINGLETON:
-        a, b, cc = cleared_coefficients(c)
-        if a != 0:
-            return _binarize_singleton(c.i, a, cc, ground)
-        return _binarize_singleton(c.j, b, cc, ground)
-    if kind != ConstraintKind.MONOTONE:
-        raise ValidationError(f"constraint {c} is not monotone")
-    a, b, cc = cleared_coefficients(c)
-    if a > 0:
-        head, tail, A, B = c.i, c.j, a, -b
-    else:
-        head, tail, A, B = c.j, c.i, b, -a
-    frag = Fragment()
-    u_head, u_tail = ground.bounds[head], ground.bounds[tail]
-    for p in range(0, u_tail + 1):
-        q = _ceil_div(cc + B * p, A)
-        if p == 0:
-            if q > u_head:
-                return frag._infeasible(f"{c} forces x{head} >= {q} > bound {u_head}")
-            if q >= 1:
-                frag.fix_one.append((head, q))
-        else:
-            if q > u_head:
-                frag.fix_zero.append((tail, p))
-            elif q >= 1:
-                frag.closure_arcs.append(((tail, p), (head, q)))
-            # q < 1: satisfied at this level regardless
-    return frag
+        return all(c.kind is not ConstraintKind.NON_MONOTONE for c in self.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +183,6 @@ class LevelSystem:
         if not 1 <= level <= self.ground.bounds[element]:
             raise ValidationError(f"level {level} out of range for element {element}")
         return self.offsets[element] + level - 1
-
-    def elem_level(self, var: int) -> tuple[int, int]:
-        for i in range(self.ground.n - 1, -1, -1):
-            if var >= self.offsets[i]:
-                return i, var - self.offsets[i] + 1
-        raise ValidationError(f"variable id {var} out of range")
 
     def all_arcs(self) -> list[tuple[int, int]]:
         return self.chain_arcs + self.closure_arcs
@@ -344,34 +254,78 @@ def build_level_system(
 
     seen_arcs: set[tuple[int, int]] = set()
     for k, c in enumerate(constraints):
-        frag = binarize_monotone(c, ground)
-        if frag.infeasible_reason is not None:
-            system.infeasible.append(f"constraint {k}: {frag.infeasible_reason}")
-            continue
-        if frag.vacuous:
-            system.dropped_vacuous += 1
-            continue
-        for (lo, hi) in frag.closure_arcs:
-            arc = (system.var(*lo), system.var(*hi))
-            if arc not in seen_arcs:
-                seen_arcs.add(arc)
-                system.closure_arcs.append(arc)
-        for lv in frag.fix_one:
-            _merge_fix(system, system.var(*lv), 1, k)
-        for lv in frag.fix_zero:
-            _merge_fix(system, system.var(*lv), 0, k)
+        reason = _binarize(c, system, k, seen_arcs)
+        if reason is not None:
+            system.infeasible.append(f"constraint {k}: {reason}")
     return system
 
 
-def _merge_fix(system: LevelSystem, var: int, value: int, origin: int):
-    old = system.fixed.get(var)
-    if old is not None and old != value:
-        elem, level = system.elem_level(var)
-        system.infeasible.append(
-            f"constraint {origin}: level {level} of x{elem} is forced both ways"
-        )
-        return
-    system.fixed[var] = value
+def _ceil_div(p: int, q: int) -> int:
+    # q > 0
+    return -((-p) // q)
+
+
+def _binarize(c: Constraint, system: LevelSystem, k: int,
+              seen_arcs: set[tuple[int, int]]) -> str | None:
+    """Add the precedence arcs and fixings of constraint number ``k`` to the
+    system, as level ids, and return why no box point meets it (None when one
+    can).  A vacuous constraint is only counted.
+
+    Writing a monotone constraint as A*head - B*tail >= C with A, B > 0, the
+    level threshold q(p) = ceil((C + B*p) / A) gives tail_p <= head_{q(p)} for
+    each tail level p; q(p) above the head bound forbids the tail level, below
+    1 it imposes nothing.  The p = 0 term carries the unconditional part: even
+    a zero tail forces head >= q(0).  A singleton fixes one level of its
+    element: a lower bound sets one, an upper bound clears one.
+    """
+    bounds, offsets = system.ground.bounds, system.offsets
+    fixes: list[tuple[int, int, int]] = []  # (element, level, value)
+    arcs = 0
+    if c.kind is ConstraintKind.SINGLETON:
+        elem, a = (c.i, c.a) if c.a != 0 else (c.j, c.b)
+        u = bounds[elem]
+        if a > 0:
+            lower = _ceil_div(c.c, a)
+            if lower > u:
+                return f"x{elem} >= {lower} but its bound is {u}"
+            if lower >= 1:
+                fixes.append((elem, lower, 1))
+        else:
+            upper = c.c // a
+            if upper < 0:
+                return f"x{elem} <= {upper} is impossible"
+            if upper < u:
+                fixes.append((elem, upper + 1, 0))
+    elif c.kind is ConstraintKind.MONOTONE:
+        if c.a > 0:
+            head, tail, A, B = c.i, c.j, c.a, -c.b
+        else:
+            head, tail, A, B = c.j, c.i, c.b, -c.a
+        u_head = bounds[head]
+        q = _ceil_div(c.c, A)
+        if q > u_head:
+            return f"{c} forces x{head} >= {q} > bound {u_head}"
+        if q >= 1:
+            fixes.append((head, q, 1))
+        for p in range(1, bounds[tail] + 1):
+            q = _ceil_div(c.c + B * p, A)
+            if q > u_head:
+                fixes.append((tail, p, 0))
+            elif q >= 1:
+                arcs += 1
+                arc = (offsets[tail] + p - 1, offsets[head] + q - 1)
+                if arc not in seen_arcs:
+                    seen_arcs.add(arc)
+                    system.closure_arcs.append(arc)
+            # q < 1: satisfied at this level regardless
+    else:
+        raise ValidationError(f"constraint {c} is not monotone")
+    if not arcs and not fixes:
+        system.dropped_vacuous += 1
+    for elem, p, value in fixes:
+        if system.fixed.setdefault(offsets[elem] + p - 1, value) != value:
+            system.infeasible.append(f"constraint {k}: level {p} of x{elem} is forced both ways")
+    return None
 
 
 def decode_levels(system: LevelSystem, members: Iterable[int] | int) -> tuple[int, ...]:
@@ -442,16 +396,12 @@ def monotonize(inst: Instance) -> Monotonized:
     ground2 = GroundSet(tuple(u) + tuple(u))
     out: list[Constraint] = []
     for c in inst.constraints:
-        kind = classify(c)
-        if kind == ConstraintKind.SINGLETON:
-            if c.a != 0:
-                k, coef = c.i, c.a
-            else:
-                k, coef = c.j, c.b
+        if c.kind is ConstraintKind.SINGLETON:
+            k, coef = (c.i, c.a) if c.a != 0 else (c.j, c.b)
             out.append(Constraint.single(k, coef, c.c))
             out.append(Constraint.single(n + k, -coef, c.c - coef * u[k]))
-        elif kind == ConstraintKind.MONOTONE:
-            out.append(Constraint.pair(c.i, c.a, c.j, c.b, c.c))
+        elif c.kind is ConstraintKind.MONOTONE:
+            out.append(c)
             out.append(
                 Constraint.pair(n + c.i, -c.a, n + c.j, -c.b, c.c - c.a * u[c.i] - c.b * u[c.j])
             )

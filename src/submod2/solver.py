@@ -49,8 +49,6 @@ from .reductions import (
     LevelSystem,
     Monotonized,
     build_level_system,
-    classify,
-    cleared_coefficients,
     decode_levels,
     monotonized_system,
 )
@@ -234,7 +232,7 @@ def _stats_dict(system: LevelSystem, solved: _LevelSolve) -> dict:
 def _constraint_counts(inst: Instance) -> dict:
     counts = {k.value: 0 for k in ConstraintKind}
     for c in inst.constraints:
-        counts[classify(c).value] += 1
+        counts[c.kind.value] += 1
     return counts
 
 
@@ -550,11 +548,10 @@ def brute_force_solve(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     X = enumerate_box(inst.ground)
     feasible = np.ones(len(X), dtype=bool)
     for c in inst.constraints:
-        a, b, cc = cleared_coefficients(c)
-        lhs = a * X[:, c.i]
+        lhs = c.a * X[:, c.i]
         if c.j is not None:
-            lhs = lhs + b * X[:, c.j]
-        feasible &= lhs >= cc
+            lhs = lhs + c.b * X[:, c.j]
+        feasible &= lhs >= c.c
     if not feasible.any():
         return _infeasible_result(inst, MODE_BRUTE)
     Xf = X[feasible]

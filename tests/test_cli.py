@@ -93,25 +93,32 @@ def test_parse_rejects_binary_family_on_multiset_bounds():
         parse_instance(io.StringIO(json.dumps(doc)))
 
 
+FRACTIONAL = {
+    "n": 2,
+    "objective": {"kind": "modular", "w": [1, 1]},
+    "constraints": [{"i": 0, "a": "0.5", "j": 1, "b": "1/3", "c": "0.5"}],
+}
+
+
 def test_parse_decimal_string_coefficients_are_exact():
-    doc = {
-        "n": 2,
-        "objective": {"kind": "modular", "w": [1, 1]},
-        "constraints": [{"i": 0, "a": "0.5", "j": 1, "b": "1/3", "c": "0.5"}],
-    }
-    inst = parse_instance(io.StringIO(json.dumps(doc)))
-    assert s.cleared_coefficients(inst.constraints[0]) == (3, 2, 3)
+    inst = parse_instance(io.StringIO(json.dumps(FRACTIONAL)))
+    c = inst.constraints[0]
+    assert (c.a, c.b, c.c) == (3, 2, 3)
 
 
 def test_instance_round_trips_through_json():
-    inst = parse_instance(io.StringIO(json.dumps(TRIANGLE_VC)))
-    doc = instance_to_json(inst)
-    again = parse_instance(io.StringIO(json.dumps(doc)))
-    assert again.ground.bounds == inst.ground.bounds
-    assert [c.as_tuple() for c in again.constraints] == [c.as_tuple() for c in inst.constraints]
-    assert again.roundup_declared == inst.roundup_declared
-    for x in map(tuple, s.enumerate_box(inst.ground)):
-        assert again.objective(x) == inst.objective(x)
+    for source in (TRIANGLE_VC, FRACTIONAL):
+        inst = parse_instance(io.StringIO(json.dumps(source)))
+        doc = instance_to_json(inst)
+        again = parse_instance(io.StringIO(json.dumps(doc)))
+        assert again.ground.bounds == inst.ground.bounds
+        assert [c.as_tuple() for c in again.constraints] == [c.as_tuple() for c in inst.constraints]
+        assert again.roundup_declared == inst.roundup_declared
+        for x in map(tuple, s.enumerate_box(inst.ground)):
+            assert again.objective(x) == inst.objective(x)
+            assert again.violated_by(x) == inst.violated_by(x)
+    # the fractional document is written back with its cleared integers
+    assert [(c["a"], c["b"], c["c"]) for c in doc["constraints"]] == [(3, 2, 3)]
 
 
 def test_solve_vertex_cover_end_to_end(tmp_path, capsys):
@@ -372,6 +379,8 @@ def test_every_document_objective_runs_on_the_minimum_cut(tmp_path, capsys):
     {"constraints": 5},
     {"objective": {"kind": "modular", "w": [1, "inf"]}},
     {"objective": {"kind": "modular", "w": [1, "nan"]}},
+    {"constraints": [{"i": 0, "a": "1/0", "j": 1, "b": 1, "c": 1}]},
+    {"constraints": [{"i": 0, "a": 1, "j": 1, "b": "abc", "c": 1}]},
 ])
 def test_malformed_raw_document_reports_error_json(tmp_path, capsys, change):
     doc = {"n": 2, "objective": {"kind": "modular", "w": [1, 1]},

@@ -106,7 +106,7 @@ def test_min2sat_rejects_wide_clause_and_non_monotone_objective():
 def test_min2sat_implication_clauses_classify_monotone_and_solve_exactly():
     cnf = CnfSpec(3, ((1, -2), (2, -3), (1, -3)))
     inst = build_min2sat(cnf, cardinality(3))
-    assert inst.kinds() <= {ConstraintKind.MONOTONE, ConstraintKind.SINGLETON}
+    assert {c.kind for c in inst.constraints} <= {ConstraintKind.MONOTONE, ConstraintKind.SINGLETON}
     exact = solve_exact_monotone(inst)
     assert exact.value == brute_force_solve(inst).value
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,72 +11,60 @@ from submod2 import (
     ConstraintKind,
     GroundSet,
     Instance,
-    binarize_monotone,
     build_level_system,
-    classify,
-    cleared_coefficients,
     decode_levels,
     monotonize,
+    monotonized_system,
 )
 from submod2.errors import ChainViolation, ValidationError
 
 import gen
 
 
-def fragment_allows(frag, x):
-    """Independent semantics of a fragment: evaluate its arcs and fixings
-    directly on the threshold indicators of the point x."""
-
-    def ind(level):
-        elem, p = level
-        return x[elem] >= p
-
-    if frag.infeasible_reason is not None:
+def system_allows(system, x):
+    """Independent semantics of a level system: evaluate its arcs and fixings
+    directly on the threshold indicators of the point x, level p of element e
+    being id offsets[e] + p - 1."""
+    if system.infeasible:
         return False
-    for (lo, hi) in frag.closure_arcs:
-        if ind(lo) and not ind(hi):
-            return False
-    for lv in frag.fix_one:
-        if not ind(lv):
-            return False
-    for lv in frag.fix_zero:
-        if ind(lv):
-            return False
-    return True
+    on = {system.offsets[e] + p - 1 for e, v in enumerate(x) for p in range(1, v + 1)}
+    return all(lo not in on or hi in on for lo, hi in system.closure_arcs) and all(
+        (v in on) == bool(value) for v, value in system.fixed.items()
+    )
 
 
 def roundtrip_check(a, b, c, u_i, u_j):
     """The feasible (x_i, x_j) pairs of a*x_i + b*x_j >= c must be exactly the
-    pairs whose agreeing duplicate (x, u - x) both binarized halves of the
-    monotonized constraint admit; a monotone or singleton constraint's own
-    fragment must admit exactly them as well."""
+    pairs whose agreeing duplicate (x, u - x) the level system of the two
+    halves of the monotonized constraint admits; a monotone or singleton
+    constraint's own level system must admit exactly them as well."""
     ground = GroundSet((u_i, u_j))
     con = Constraint.pair(0, a, 1, b, c)
-    mono = monotonize(Instance(ground, (con,), s.make_family(s.Modular((0, 0)), ground)))
-    halves = [binarize_monotone(h, mono.ground) for h in mono.constraints]
-    own = binarize_monotone(con, ground) if classify(con) != ConstraintKind.NON_MONOTONE else None
+    _, halves = monotonized_system(Instance(ground, (con,), s.make_family(s.Modular((0, 0)), ground)))
+    own = build_level_system(ground, (con,)) if con.kind != ConstraintKind.NON_MONOTONE else None
     for xi in range(u_i + 1):
         for xj in range(u_j + 1):
             direct = a * xi + b * xj >= c
             agreed = (xi, xj, u_i - xi, u_j - xj)
-            via_halves = all(fragment_allows(h, agreed) for h in halves)
+            via_halves = system_allows(halves, agreed)
             assert direct == via_halves, (
                 f"{a}*x0 + {b}*x1 >= {c} with bounds ({u_i}, {u_j}) at ({xi}, {xj}): "
                 f"direct={direct} monotonized={via_halves}"
             )
             if own is not None:
-                assert direct == fragment_allows(own, (xi, xj)), (
+                assert direct == system_allows(own, (xi, xj)), (
                     f"{a}*x0 + {b}*x1 >= {c} with bounds ({u_i}, {u_j}) at ({xi}, {xj}): "
-                    f"direct={direct} fragment disagrees"
+                    f"direct={direct} own level system disagrees"
                 )
 
 
 def test_classify_examples():
-    assert classify(Constraint.pair(0, 1, 1, 1, 1)) == ConstraintKind.NON_MONOTONE
-    assert classify(Constraint.pair(0, 1, 1, -1, 0)) == ConstraintKind.MONOTONE
-    assert classify(Constraint.pair(0, 2, 1, 0, 1)) == ConstraintKind.SINGLETON
-    assert classify(Constraint.single(0, 2, 1)) == ConstraintKind.SINGLETON
-    assert classify(Constraint.pair(0, -1, 1, -1, -1)) == ConstraintKind.NON_MONOTONE
+    assert Constraint.pair(0, 1, 1, 1, 1).kind == ConstraintKind.NON_MONOTONE
+    assert Constraint.pair(0, 1, 1, -1, 0).kind == ConstraintKind.MONOTONE
+    assert Constraint.pair(0, 2, 1, 0, 1).kind == ConstraintKind.SINGLETON
+    assert Constraint.single(0, 2, 1).kind == ConstraintKind.SINGLETON
+    assert Constraint.pair(0, -1, 1, -1, -1).kind == ConstraintKind.NON_MONOTONE
+    assert Constraint.pair(0, "-1/2", 1, "0.25", 1).kind == ConstraintKind.MONOTONE
 
 
 def test_constraint_validation():
@@ -89,34 +78,90 @@ def test_constraint_validation():
 
 def test_rational_coefficients_clear_exactly():
     c = Constraint.pair(0, "1/2", 1, "0.25", "3/4")
-    assert cleared_coefficients(c) == (2, 1, 3)
+    assert (c.a, c.b, c.c) == (2, 1, 3)
     c2 = Constraint.pair(0, 1.5, 1, -0.5, 2)
-    assert cleared_coefficients(c2) == (3, -1, 4)
+    assert (c2.a, c2.b, c2.c) == (3, -1, 4)
+    assert all(type(v) is int for v in c.as_tuple() + c2.as_tuple() if v is not None)
+    assert c == Constraint.pair(0, 2, 1, 1, 3)
+
+
+@pytest.mark.parametrize("index", [0.5, "1", True, None])
+def test_non_integer_constraint_indices_are_refused(index):
+    g = GroundSet.binary(2)
+    f = s.make_family(s.Modular((1, 1)), g)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        Instance(g, (Constraint.pair(index, 1, 1, 1, 1),), f)
+    if index is not None:  # j = None is the singleton form
+        with pytest.raises(ValidationError, match="must be an integer"):
+            Instance(g, (Constraint.pair(0, 1, index, 1, 1),), f)
+    assert Constraint.pair(1.0, 1, 0, 1, 1) == Constraint.pair(1, 1, 0, 1, 1)
+
+
+def test_coefficients_read_exactly_or_refused():
+    assert Constraint.pair(0, np.float64(0.5), 1, 1, 1).as_tuple() == (0, 1, 1, 2, 2)
+    assert Constraint.pair(0, np.int64(2), 1, np.int32(-1), 1).as_tuple() == (0, 2, 1, -1, 1)
+    assert Constraint.pair(0, 0.1, 1, "1/3", 1).as_tuple() == (0, 3, 1, 10, 30)
+    for bad in (float("inf"), float("-inf"), float("nan"), np.float64("inf"), "1/0", "abc",
+                True, None, [1]):
+        with pytest.raises(ValidationError, match="cannot interpret coefficient"):
+            Constraint.pair(0, bad, 1, 1, 1)
+        with pytest.raises(ValidationError, match="cannot interpret coefficient"):
+            Constraint.single(0, 1, bad)
+
+
+def test_level_system_messages_and_insertion_order():
+    # the 2-SAT witness and the order of the cut's hard arcs follow the order
+    # of `fixed` and `closure_arcs`; ids: x0 levels 0-2, x1 level 3, x2 levels 4-5
+    cons = (
+        Constraint.single(0, 1, 5),
+        Constraint.single(1, -1, 1),
+        Constraint.pair(0, 1, 2, -2, 4),
+        Constraint.pair(0, 2, 2, -3, 1),
+        Constraint.single(0, -1, -1),
+        Constraint.pair(2, 1, 0, -1, 0),
+        Constraint.single(2, 1, 1),
+        Constraint.single(0, 1, 2),
+        Constraint.pair(0, 2, 2, -3, 1),
+        Constraint.pair(0, 1, 2, -1, -9),
+    )
+    system = build_level_system(GroundSet((3, 1, 2)), cons)
+    assert system.infeasible == [
+        "constraint 0: x0 >= 5 but its bound is 3",
+        "constraint 1: x1 <= -1 is impossible",
+        "constraint 2: 1*x0 + -2*x2 >= 4 forces x0 >= 4 > bound 3",
+        "constraint 7: level 2 of x0 is forced both ways",
+    ]
+    assert list(system.fixed.items()) == [(0, 1), (5, 0), (1, 0), (2, 0), (4, 1)]
+    assert system.closure_arcs == [(4, 1), (0, 4), (1, 5)]
+    assert system.dropped_vacuous == 1
 
 
 def test_binarize_monotone_unit_coefficients():
-    frag = binarize_monotone(Constraint.pair(0, 1, 1, -1, 0), GroundSet.binary(2))
-    assert frag.closure_arcs == [((1, 1), (0, 1))]
-    assert not frag.fix_one and not frag.fix_zero
+    # level ids: element 0 owns id 0, element 1 owns id 1
+    system = build_level_system(GroundSet.binary(2), (Constraint.pair(0, 1, 1, -1, 0),))
+    assert system.closure_arcs == [(1, 0)]
+    assert not system.fixed and not system.infeasible and system.dropped_vacuous == 0
 
 
 def test_binarize_monotone_ceiling_arithmetic():
-    # 2*x0 - 3*x1 >= 1 with bounds (2, 2): level 1 of x1 needs level 2 of x0,
-    # level 2 of x1 is impossible, and even x1 = 0 forces x0 >= 1
-    frag = binarize_monotone(Constraint.pair(0, 2, 1, -3, 1), GroundSet((2, 2)))
-    assert frag.closure_arcs == [((1, 1), (0, 2))]
-    assert frag.fix_zero == [(1, 2)]
-    assert frag.fix_one == [(0, 1)]
+    # 2*x0 - 3*x1 >= 1 with bounds (2, 2): level 1 of x1 (id 2) needs level 2
+    # of x0 (id 1), level 2 of x1 (id 3) is impossible, and even x1 = 0 forces
+    # x0 >= 1 (id 0)
+    system = build_level_system(GroundSet((2, 2)), (Constraint.pair(0, 2, 1, -3, 1),))
+    assert system.closure_arcs == [(2, 1)]
+    assert system.fixed == {0: 1, 3: 0}
+    assert not system.infeasible and system.dropped_vacuous == 0
 
 
 def test_binarize_monotone_trivially_satisfied():
-    frag = binarize_monotone(Constraint.pair(0, 1, 1, -1, -1), GroundSet.binary(2))
-    assert frag.vacuous
+    system = build_level_system(GroundSet.binary(2), (Constraint.pair(0, 1, 1, -1, -1),))
+    assert system.dropped_vacuous == 1
+    assert not system.closure_arcs and not system.fixed and not system.infeasible
 
 
 def test_binarize_monotone_rejects_non_monotone():
     with pytest.raises(ValidationError):
-        binarize_monotone(Constraint.pair(0, 1, 1, 1, 1), GroundSet.binary(2))
+        build_level_system(GroundSet.binary(2), (Constraint.pair(0, 1, 1, 1, 1),))
     with pytest.raises(ValidationError):
         build_level_system(GroundSet.binary(2), (Constraint.pair(0, -1, 1, -1, -1),))
 
@@ -129,21 +174,23 @@ def test_roundtrip_vacuous_and_infeasible_edges():
         roundtrip_check(a, b, c, 1, 1)
         inst = Instance(binary, (Constraint.pair(0, a, 1, b, c),),
                         s.make_family(s.Modular((0, 0)), binary))
-        mono = monotonize(inst)
-        halves = [binarize_monotone(h, mono.ground) for h in mono.constraints]
+        _, halves = monotonized_system(inst)
         if expect == "vacuous":
-            assert all(h.vacuous for h in halves)
+            assert halves.dropped_vacuous == 2
+            assert not halves.closure_arcs and not halves.fixed and not halves.infeasible
         else:
-            assert all(h.infeasible_reason for h in halves)
+            assert [m.split(":")[0] for m in halves.infeasible] == ["constraint 0", "constraint 1"]
 
 
 def test_binarize_singletons_tighten_bounds():
-    frag = binarize_monotone(Constraint.single(0, 2, 3), GroundSet((3, 1)))
-    assert frag.fix_one == [(0, 2)]
-    frag = binarize_monotone(Constraint.single(0, -2, -3), GroundSet((3, 1)))
-    assert frag.fix_zero == [(0, 2)]  # x0 <= 1
-    assert binarize_monotone(Constraint.single(0, 1, 9), GroundSet((3, 1))).infeasible_reason
-    assert binarize_monotone(Constraint.single(0, 1, -1), GroundSet((3, 1))).vacuous
+    def system(c):
+        return build_level_system(GroundSet((3, 1)), (c,))
+
+    assert system(Constraint.single(0, 2, 3)).fixed == {1: 1}  # x0 >= 2: level 2 is id 1
+    assert system(Constraint.single(0, -2, -3)).fixed == {1: 0}  # x0 <= 1
+    assert system(Constraint.single(0, 1, 9)).infeasible
+    assert system(Constraint.single(0, 1, -1)).dropped_vacuous == 1
+    assert system(Constraint.pair(0, 0, 1, 1, 1)).fixed == {3: 1}  # a = 0: a bound on x1
 
 
 def test_roundtrip_small_exhaustive_slice():
@@ -222,7 +269,7 @@ def test_monotonize_splits_cover_into_cross_pairs():
         (0, 1, 3, -1, 0),
         (2, -1, 1, 1, 0),
     ]
-    assert all(classify(c) == ConstraintKind.MONOTONE for c in mono.constraints)
+    assert all(c.kind == ConstraintKind.MONOTONE for c in mono.constraints)
 
 
 def test_monotonize_duplicates_monotone_constraints_per_copy():
@@ -243,7 +290,7 @@ def test_monotonize_feasible_points_embed_as_agreeing_pairs():
     for _ in range(100):
         inst = gen.random_general_instance(rng, max_n=4, max_u=3)
         mono = monotonize(inst)
-        assert {classify(c) for c in mono.constraints} <= {
+        assert {c.kind for c in mono.constraints} <= {
             ConstraintKind.MONOTONE,
             ConstraintKind.SINGLETON,
         }
