@@ -195,7 +195,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
             text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the digit limit
         raise CliError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError("instance document must be a JSON object")

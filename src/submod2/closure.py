@@ -24,16 +24,16 @@ arc along those arcs with one depth-first search: it pushes into every sink
 arc it meets, books the flow on each tree arc once, on retreat, and retires
 whole strongly connected components that can send no more, so cycles cost
 no more than chains.  The cut is the set of nodes reachable from s in the
-residual graph; when the pass leaves t outside it, as on open pits, that set
-is the answer and no BFS runs, otherwise Dinic's BFS phases finish from the
-flow the pass leaves and the set is read again.  It is the same minimal
+residual graph, which a BFS that misses t queues exactly.  When the pass
+leaves t outside that set, as on open pits, one BFS runs and finds no path,
+and its queue is the answer; otherwise Dinic's BFS phases finish from the
+flow the pass leaves until one finds no path.  It is the same minimal
 minimum cut after every maximum flow, so the pass cannot change an answer;
 only the float sum of the flow value can differ in its last bits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
@@ -97,10 +97,10 @@ class _Dinic:
     uncuttable input arcs into the sink arcs, booking the flow on each arc
     once, on retreat, and retiring whole strongly connected components that
     can send no more; on closure graphs that routes nearly all of the flow.
-    If t is still reachable from s, the BFS phases run from the flow it
-    leaves and can undo any of it through the twins.  Every maximum flow
-    leaves the same residual reachability from s (the minimal minimum cut),
-    so the pass changes how fast the cut is found, not which cut.
+    BFS phases then run from the flow it leaves, and can undo any of it
+    through the twins, until one finds no path; its ``queue`` holds the
+    minimal minimum cut's source side, the same after every maximum flow, so
+    the pass changes how fast the cut is found, not which cut.
     """
 
     def __init__(self, n: int, hard: float, tails: Sequence[int], heads: Sequence[int],
@@ -120,12 +120,11 @@ class _Dinic:
             head[v].append(eid)
 
     def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        head, to, cap, level = self.head, self.to, self.cap, self.level
-        while q:
-            u = q.popleft()
+        self.level = level = [-1] * self.n
+        level[s] = 0
+        self.queue = q = [s]
+        head, to, cap = self.head, self.to, self.cap
+        for u in q:  # the loop reaches what it appends
             for eid in head[u]:
                 v = to[eid]
                 if cap[eid] > 1e-12 and level[v] < 0:
@@ -306,30 +305,15 @@ class _Dinic:
         return flow
 
     def max_flow(self, s: int, t: int) -> float:
-        """Flow value; ``phases`` counts the BFS phases run after the pass, and
-        ``source_side`` holds the nodes reachable from s in the final
-        residual graph."""
+        """Flow value; ``phases`` counts the BFS phases that found a path after
+        the pass, and ``queue`` holds the nodes reachable from s in the final
+        residual graph, s first."""
         flow = self._forward_pass(s, t)
         self.phases = 0
-        self.source_side = self.reachable_from(s)
-        if t in self.source_side:  # the pass left an augmenting path
-            while self._bfs(s, t):
-                self.phases += 1
-                flow += self._blocking_flow(s, t)
-            self.source_side = self.reachable_from(s)
+        while self._bfs(s, t):
+            self.phases += 1
+            flow += self._blocking_flow(s, t)
         return flow
-
-    def reachable_from(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 1e-12 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
 
 
 def _columns(rows: Sequence[tuple], width: int) -> list[list]:
@@ -353,7 +337,7 @@ def _min_cut(nodes: int, finite: list[list], hard: list[list[int]]) -> tuple[set
     flow = net.max_flow(s, t)
     if flow > infinite - 0.5:
         raise SolverError("internal: the minimum cut crosses an uncuttable arc")
-    return net.source_side - {s}, flow, net.phases
+    return set(net.queue[1:]), flow, net.phases
 
 
 def solve_linear_closure_mincut(

@@ -21,6 +21,7 @@ chain and any chain-respecting assignment is a prefix of ones.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -37,7 +38,7 @@ def _rat(v) -> int | Fraction:
     """The exact value of one coefficient, as an int when it is integral.
     Ints, numpy integers, Fractions, decimal or fraction strings and floats
     are read; a float means its shortest printed decimal, not its binary
-    value."""
+    value.  Exponents past Python's int digit limit are refused unexpanded."""
     if type(v) is int:
         return v
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
@@ -47,7 +48,11 @@ def _rat(v) -> int | Fraction:
         value = v
     elif isinstance(v, (str, float, np.floating)):
         try:
-            value = Fraction(v if isinstance(v, str) else repr(float(v)))
+            text = v if isinstance(v, str) else repr(float(v))
+            exponent, limit = text.lower().partition("e")[2], sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent)) > limit:
+                raise ValidationError(f"coefficient {v!r} has an exponent beyond {limit}")
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
     if value is None:
@@ -65,10 +70,10 @@ class ConstraintKind(enum.Enum):
 class Constraint:
     """a*x_i + b*x_j >= c; ``j`` may be None for singleton constraints.
 
-    The coefficients may be given as ints, Fractions, floats or decimal and
-    fraction strings; they are stored as the ints that the lcm of their
-    denominators scales them to, which keeps the feasible set.  ``kind`` is
-    derived from their signs."""
+    The coefficients may be ints, Fractions, floats or decimal and fraction
+    strings, stored as the ints the lcm of their denominators scales them to
+    (which keeps the feasible set) and refused when one has more digits than
+    Python prints.  ``kind`` is derived from their signs."""
 
     i: int
     a: int
@@ -84,6 +89,11 @@ class Constraint:
         scale = lcm(a.denominator, b.denominator, c.denominator)
         if scale != 1:
             a, b, c = int(a * scale), int(b * scale), int(c * scale)
+        # Python sets no digit limit under 640, and an int below 2**1920 = 8**640 is shorter
+        if a.bit_length() > 1920 or b.bit_length() > 1920 or c.bit_length() > 1920:
+            limit = sys.get_int_max_str_digits()
+            if limit and max(abs(a), abs(b), abs(c)) >= 10 ** limit:
+                raise ValidationError(f"a constraint coefficient has more than {limit} digits")
         if j is None and b != 0:
             raise ValidationError("singleton constraint must have b = 0")
         if a == 0 and b == 0:

@@ -126,8 +126,8 @@ class MinNormStats:
     """What one min-norm solve did.  ``evaluations`` counts the distinct
     points the objective oracle evaluated (its memo size); ``duality_gap`` is
     the certificate gap of the returned set (see `_certified`) and ``exact``
-    says whether that gap certifies it optimal.  A min-cut solve reports its
-    gap and verdict here too, with zero iterations, evaluations and retries."""
+    says whether that gap certifies it optimal.  Min-cut solves do not report
+    through it: their gap goes straight into the solve's diagnostics."""
 
     major_iterations: int = 0
     evaluations: int = 0
@@ -258,14 +258,12 @@ def _recover_minimizer(f: SetFunctionOracle, x: np.ndarray) -> tuple[int, float]
     return best_mask, best_val
 
 
-def _minnorm_detailed(
-    f: SetFunctionOracle, tol: float | None, cfg: SolverConfig
-) -> tuple[int, float, MinNormStats]:
+def _minnorm_detailed(f: SetFunctionOracle, cfg: SolverConfig) -> tuple[int, float, MinNormStats]:
     if f.m == 0:
         return 0, f(0), MinNormStats(exact=True)
-    tol = cfg.wolfe_tol if tol is None else tol
+    tol = cfg.wolfe_tol
     if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+        raise ValidationError("wolfe_tol must be positive")
     iter_cap = 10 * f.m * f.m + 1000
     x, stats = _wolfe_min_norm(f, tol, iter_cap)
     mask, val = _recover_minimizer(f, x)
@@ -286,7 +284,7 @@ def _minnorm_detailed(
 
 
 def sfm_minnorm(
-    f: SetFunctionOracle, tol: float | None = None, *, cfg: SolverConfig = DEFAULT_CONFIG
+    f: SetFunctionOracle, *, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> tuple[frozenset[int], float]:
     """Minimize a submodular set function via the min-norm point.
 
@@ -294,7 +292,7 @@ def sfm_minnorm(
     never the approximate inner objective.  For integer-valued oracles the
     result is exact whenever the duality gap at termination is below 1.
     """
-    mask, val, _ = _minnorm_detailed(f, tol, cfg)
+    mask, val, _ = _minnorm_detailed(f, cfg)
     return set_of(mask), val
 
 
@@ -310,7 +308,7 @@ def _ring_detailed(
     any penalty weight, so checking closedness makes the heuristic weight
     sound; a self-loop is never violated and a repeat only doubles a penalty."""
     if not arcs:
-        return _minnorm_detailed(f, None, cfg)
+        return _minnorm_detailed(f, cfg)
     arc_bits = [(1 << int(i), 1 << int(j)) for (i, j) in arcs]
     # Both weights come from one greedy vertex y.  The first try takes the
     # tight 1 + max|y| (Chakrabarty, Jain & Kothari 2014), which is usually
@@ -330,7 +328,7 @@ def _ring_detailed(
             integer_valued=f.integer_valued and M == int(M),
             label=f"{f.label or 'f'}+ring_penalty",
         )
-        mask, _, stats = _minnorm_detailed(penalized, None, cfg)
+        mask, _, stats = _minnorm_detailed(penalized, cfg)
         total_stats.major_iterations += stats.major_iterations
         total_stats.duality_gap = stats.duality_gap
         total_stats.exact = stats.exact

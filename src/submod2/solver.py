@@ -52,13 +52,7 @@ from .reductions import (
     decode_levels,
     monotonized_system,
 )
-from .sfm import (
-    FLOAT_GAP_FLOOR,
-    MinNormStats,
-    SetFunctionOracle,
-    _certified,
-    _ring_detailed,
-)
+from .sfm import FLOAT_GAP_FLOOR, SetFunctionOracle, _certified, _ring_detailed
 from .twosat import solve_2sat
 
 MODE_EXACT = "ExactMonotone"
@@ -142,25 +136,16 @@ def _propagate_fixes(system: LevelSystem) -> tuple[int, int] | None:
     return must_in, must_out
 
 
-@dataclass
-class _LevelSolve:
-    counts: tuple[int, ...] | None
-    stats: MinNormStats
-    engine: str
-    infeasible_detail: str = ""
-    cut_nodes: int = 0
-    cut_arcs: int = 0
-    cut_phases: int = 0
-
-
 def _solve_levels(
     system: LevelSystem,
     objective_on_counts,
     integer_valued: bool,
     cfg: SolverConfig,
     specs: Sequence[FamilySpec] | None,
-) -> _LevelSolve:
-    """Minimize objective(counts) over closed level sets of the system.
+) -> tuple[tuple[int, ...] | None, dict]:
+    """Minimize objective(counts) over closed level sets of the system; return
+    the optimal counts (None when no closed set obeys the fixings, which
+    ``infeasible_detail`` explains) and the solve's diagnostics.
 
     With ``specs`` (one family spec per equal block of elements, together
     equal to the objective) the minimum is one minimum cut, and a gap above
@@ -168,20 +153,30 @@ def _solve_levels(
     fixed variables and their implications are contracted away and the
     remaining free variables go through the ring-constrained min-norm solve.
     """
-    engine = "wolfe" if specs is None else "mincut"
-    if system.infeasible:
-        return _LevelSolve(None, MinNormStats(), engine, "; ".join(system.infeasible))
-    prop = _propagate_fixes(system)
+    stats = {
+        "level_count": system.level_count,
+        "chain_arcs": len(system.chain_arcs),
+        "closure_arcs": len(system.closure_arcs),
+        "fixed": len(system.fixed),
+        "dropped_vacuous": system.dropped_vacuous,
+        "engine": "wolfe" if specs is None else "mincut",
+        "cut_nodes": 0, "cut_arcs": 0, "cut_phases": 0,
+        "sfm_iterations": 0, "sfm_evaluations": 0, "sfm_exact": False,
+        "penalty_retries": 0, "duality_gap": 0.0,
+    }
+    prop = None if system.infeasible else _propagate_fixes(system)
     if prop is None:
-        return _LevelSolve(None, MinNormStats(), engine, "contradictory fixings")
+        stats["infeasible_detail"] = "; ".join(system.infeasible) or "contradictory fixings"
+        return None, stats
     if specs is not None:
         cut = minimize_levels_mincut(system, specs)
         counts = decode_levels(system, cut.members)
         gap = objective_on_counts(counts) - cut.lower
         if not _certified(integer_valued, gap, 0.0):
             raise SolverError(f"internal: minimum cut left a certificate gap of {gap:.3g}")
-        return _LevelSolve(counts, MinNormStats(duality_gap=gap, exact=True), engine,
-                           cut_nodes=cut.nodes, cut_arcs=cut.arcs, cut_phases=cut.phases)
+        stats.update(cut_nodes=cut.nodes, cut_arcs=cut.arcs, cut_phases=cut.phases,
+                     sfm_exact=True, duality_gap=gap)
+        return counts, stats
     must_in, must_out = prop
     free = [v for v in range(system.level_count) if not ((must_in | must_out) >> v) & 1]
     pos = {v: k for k, v in enumerate(free)}
@@ -204,29 +199,11 @@ def _solve_levels(
         label="level_lift",
     )
     arcs = [(pos[i], pos[j]) for (i, j) in system.all_arcs() if i in pos and j in pos]
-    mask, _, stats = _ring_detailed(oracle, arcs, cfg)
-    counts = decode_levels(system, expand(mask))
-    return _LevelSolve(counts, stats, engine)
-
-
-def _stats_dict(system: LevelSystem, solved: _LevelSolve) -> dict:
-    stats = solved.stats
-    return {
-        "level_count": system.level_count,
-        "chain_arcs": len(system.chain_arcs),
-        "closure_arcs": len(system.closure_arcs),
-        "fixed": len(system.fixed),
-        "dropped_vacuous": system.dropped_vacuous,
-        "engine": solved.engine,
-        "cut_nodes": solved.cut_nodes,
-        "cut_arcs": solved.cut_arcs,
-        "cut_phases": solved.cut_phases,
-        "sfm_iterations": stats.major_iterations,
-        "sfm_evaluations": stats.evaluations,
-        "sfm_exact": stats.exact,
-        "penalty_retries": stats.penalty_retries,
-        "duality_gap": stats.duality_gap,
-    }
+    mask, _, wolfe = _ring_detailed(oracle, arcs, cfg)
+    stats.update(sfm_iterations=wolfe.major_iterations, sfm_evaluations=wolfe.evaluations,
+                 sfm_exact=wolfe.exact, penalty_retries=wolfe.penalty_retries,
+                 duality_gap=wolfe.duality_gap)
+    return decode_levels(system, expand(mask)), stats
 
 
 def _constraint_counts(inst: Instance) -> dict:
@@ -256,14 +233,12 @@ def solve_exact_monotone(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) 
     _require_submodular_claim(inst)
     system = build_level_system(inst.ground, inst.constraints, cfg=cfg)
     spec = inst.objective.family_spec
-    solved = _solve_levels(system, inst.objective, inst.objective.integer_valued, cfg,
-                           None if spec is None else (spec,))
-    diagnostics = {"constraints": _constraint_counts(inst), **_stats_dict(system, solved)}
-    if solved.counts is None:
-        diagnostics["infeasible_detail"] = solved.infeasible_detail
+    x, stats = _solve_levels(system, inst.objective, inst.objective.integer_valued, cfg,
+                             None if spec is None else (spec,))
+    diagnostics = {"constraints": _constraint_counts(inst), **stats}
+    if x is None:
         return SolveResult(None, float("nan"), float("nan"), MODE_EXACT, float("nan"), False,
                            diagnostics=diagnostics, system=system)
-    x = solved.counts
     violated = inst.violated_by(x)
     if violated:
         raise SolverError(f"internal: exact solution violates constraints {violated}")
@@ -273,7 +248,7 @@ def solve_exact_monotone(inst: Instance, *, cfg: SolverConfig = DEFAULT_CONFIG) 
                            system=system)
     # A float solve is only as good as its certificate: the inner gap bounds
     # how far the value can sit above the optimum, whatever the tolerance.
-    gap = max(solved.stats.duality_gap, 0.0)
+    gap = max(stats["duality_gap"], 0.0)
     lower = value - gap
     if gap <= FLOAT_GAP_FLOOR:
         return SolveResult(x, value, lower, MODE_EXACT, 1.0, True, diagnostics=diagnostics,
@@ -307,30 +282,27 @@ def _relax(inst: Instance, mono: Monotonized, system: LevelSystem, cfg: SolverCo
     optimum.
     """
     f = inst.objective
-    n = inst.ground.n
-    u = inst.ground.bounds
 
     def g(counts2n: tuple[int, ...]) -> float:
-        plus = counts2n[:n]
-        minus = tuple(ub - v for ub, v in zip(u, counts2n[n:]))
+        plus, minus = mono.split(counts2n)
         return f(plus) + f(minus)
 
     spec = f.family_spec
-    solved = _solve_levels(system, g, f.integer_valued, cfg,
-                           None if spec is None else (spec, Complement(spec)))
-    if solved.counts is None:
+    counts, stats = _solve_levels(system, g, f.integer_valued, cfg,
+                                  None if spec is None else (spec, Complement(spec)))
+    if counts is None:
         raise InfeasibleSystem(
-            f"monotonized system infeasible ({solved.infeasible_detail}); "
+            f"monotonized system infeasible ({stats['infeasible_detail']}); "
             "the original instance has no feasible point"
         )
-    plus, minus = mono.split(solved.counts)
+    plus, minus = mono.split(counts)
     g_value = f(plus) + f(minus)
 
     # The base-polytope bound of the (penalized) inner solve lower-bounds the
     # relaxed optimum whatever the penalty weight and however far the engine
     # got, so the certificate survives an inexact float solve.  Integer
     # objectives are certified exact (the gap check below 1 already passed).
-    residual = max(solved.stats.duality_gap, 0.0)
+    residual = max(stats["duality_gap"], 0.0)
     if f.integer_valued:
         certified_lower = g_value / 2.0
     else:
@@ -345,7 +317,7 @@ def _relax(inst: Instance, mono: Monotonized, system: LevelSystem, cfg: SolverCo
                 g_value = cand_value
                 break
 
-    diagnostics = {"constraints": _constraint_counts(inst), **_stats_dict(system, solved)}
+    diagnostics = {"constraints": _constraint_counts(inst), **stats}
     return RelaxationOutcome(
         m_plus=tuple(plus),
         m_minus=tuple(-v for v in minus),

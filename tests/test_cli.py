@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,6 +172,38 @@ def test_solve_reports_infeasible_with_exit_2(tmp_path, capsys):
     assert code == 2
     assert out["status"] == "infeasible"
     assert out["x"] is None
+
+
+def test_contradictory_fixings_reached_through_arcs_exit_2(tmp_path, capsys):
+    # x0 >= 1 and x1 <= 0 fix different levels; only x1 >= x0 joins them
+    doc = {
+        "n": 2,
+        "bounds": [2, 2],
+        "objective": {"kind": "modular", "w": [1, -2]},
+        "constraints": [{"i": 0, "a": 1, "c": 1}, {"i": 1, "a": -1, "c": 0},
+                        {"i": 1, "a": 1, "j": 0, "b": -1, "c": 0}],
+    }
+    code, out, _ = run_main(capsys, ["solve", write(tmp_path, doc)])
+    assert code == 2
+    assert out["status"] == "infeasible"
+    assert out["diagnostics"]["infeasible_detail"] == "contradictory fixings"
+
+
+@pytest.mark.parametrize("a, c", [(1, '"1e5000"'), (1, "1" + "0" * sys.get_int_max_str_digits()),
+                                  (1, '"1e-1000000"'), ('"1e-400"', '"1e4000"')],
+                         ids=["exponent", "json_int", "tiny_exponent", "cleared"])
+def test_oversized_coefficients_exit_1_quickly(tmp_path, capsys, a, c):
+    # a string exponent, a JSON integer past the digit limit and a cleared
+    # integer past it: each is refused as input, before any solve work
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 1, "objective": {"kind": "modular", "w": [1]}, '
+                    f'"constraints": [{{"i": 0, "a": {a}, "c": {c}}}]}}')
+    start = time.perf_counter()
+    code, out, _ = run_main(capsys, ["solve", str(path)])
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert out["status"] == "error"
+    assert "digit" in out["message"] or "exponent" in out["message"]
 
 
 def test_malformed_instance_exits_1(tmp_path, capsys):

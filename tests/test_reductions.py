@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_coefficients_read_exactly_or_refused():
             Constraint.pair(0, bad, 1, 1, 1)
         with pytest.raises(ValidationError, match="cannot interpret coefficient"):
             Constraint.single(0, 1, bad)
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_coefficients_beyond_the_int_digit_limit_are_refused(limit):
+    # cleared integers Python would refuse to print, and decimal exponents
+    # that would expand into one, fail as input errors before any work
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert Constraint.single(0, 1, 10 ** limit - 1).c == 10 ** limit - 1
+        for c in (10 ** limit, -10 ** limit, f"1e{limit}"):
+            with pytest.raises(ValidationError, match=f"more than {limit} digits"):
+                Constraint.single(0, 1, c)
+        with pytest.raises(ValidationError, match=f"more than {limit} digits"):
+            Constraint.single(0, "1e-400", f"1e{limit - 300}")  # cleared by 10**400
+        for c in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e-1000000", "2.5E+1000000"):
+            with pytest.raises(ValidationError, match=f"exponent beyond {limit}"):
+                Constraint.single(0, 1, c)
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_level_system_messages_and_insertion_order():

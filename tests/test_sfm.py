@@ -118,6 +118,12 @@ def test_minnorm_equals_bruteforce_on_random_mixes():
         assert got == expected
 
 
+def test_minnorm_refuses_a_nonpositive_wolfe_tol():
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValidationError, match="wolfe_tol must be positive"):
+            sfm_minnorm(modular_oracle([-1, 2]), cfg=s.SolverConfig(wolfe_tol=tol))
+
+
 def test_ring_minimization_respects_arcs():
     f = modular_oracle([-5, 3])
     sub, val = solve_sm_closure(ClosureInstance(2, ((0, 1),), f))

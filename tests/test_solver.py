@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -528,6 +529,63 @@ def test_float_family_exact_route_certifies_zero_gap():
         assert res.ratio_bound == 1.0 and not res.warnings
         assert res.value == pytest.approx(opt, abs=1e-12)
         assert abs(res.diagnostics["duality_gap"]) <= 1e-12
+
+
+# x0 >= 1 and x1 <= 0 fix different levels of bounds (2, 2); only the arcs of
+# x1 >= x0 join them, so the contradiction shows only once fixes propagate
+CONFLICT = (Constraint.single(0, 1, 1), Constraint.single(1, -1, 0), Constraint.pair(1, 1, 0, -1, 0))
+
+
+def engines(ground):
+    """x0 - 2*x1 as a family (min-cut engine) and as an opaque callable (Wolfe)."""
+    return {"mincut": s.make_family(s.Modular((1, -2)), ground),
+            "wolfe": s.SubmodularOracle(ground, lambda x: x[0] - 2 * x[1],
+                                        claims_submodular=True, integer_valued=True)}
+
+
+def test_contradictory_fixings_reached_through_arcs():
+    ground = GroundSet((2, 2))
+    for engine, f in engines(ground).items():
+        inst = Instance(ground, CONFLICT, f)
+        res = solve_auto(inst)
+        assert res.x is None and not res.feasible
+        assert res.diagnostics["engine"] == engine
+        assert res.diagnostics["infeasible_detail"] == "contradictory fixings"
+        with pytest.raises(s.InfeasibleSystem) as exc:
+            solve_relaxation(inst)
+        assert str(exc.value) == ("monotonized system infeasible (contradictory fixings); "
+                                  "the original instance has no feasible point")
+
+
+def test_level_solve_diagnostics_record():
+    # the key order and values the CLI prints, for each way a level solve ends
+    def record(level_count, chain_arcs, closure_arcs, fixed, engine, cut=(0, 0, 0),
+               sfm=(0, 0, False), **tail):
+        keys = ("level_count", "chain_arcs", "closure_arcs", "fixed", "dropped_vacuous",
+                "engine", "cut_nodes", "cut_arcs", "cut_phases", "sfm_iterations",
+                "sfm_evaluations", "sfm_exact", "penalty_retries", "duality_gap")
+        return dict(zip(keys, (level_count, chain_arcs, closure_arcs, fixed, 0, engine,
+                               *cut, *sfm, 0, 0.0)), **tail)
+
+    def pinned(res, constraints, expected):
+        counts = dict(zip(("monotone", "non_monotone", "singleton"), constraints))
+        assert json.dumps(res.diagnostics) == json.dumps({"constraints": counts, **expected})
+
+    ground = GroundSet((2, 2))
+    work = {"mincut": {"cut": (6, 9, 0), "sfm": (0, 0, True)}, "wolfe": {"sfm": (2, 4, True)}}
+    for engine, f in engines(ground).items():
+        exact = solve_auto(Instance(ground, CONFLICT[::2], f))
+        assert (exact.x, exact.value, exact.lower_bound) == ((1, 2), -3, -3)
+        pinned(exact, (1, 0, 1), record(4, 2, 2, 1, engine, **work[engine]))
+        pinned(solve_auto(Instance(ground, CONFLICT, f)), (1, 0, 2),
+               record(4, 2, 2, 2, engine, infeasible_detail="contradictory fixings"))
+    box = mk(GroundSet.binary(1), (Constraint.single(0, 1, 2),), s.Modular((1,)))
+    pinned(solve_auto(box), (0, 0, 1),
+           record(1, 0, 0, 0, "mincut", infeasible_detail="constraint 0: x0 >= 2 but its bound is 1"))
+    approx = solve_auto(triangle_vc())
+    assert (approx.x, approx.value, approx.lower_bound, approx.mode) == ((1, 1, 1), 3, 1.5, MODE_APPROX)
+    pinned(approx, (0, 3, 0), record(6, 0, 6, 0, "mincut", cut=(8, 12, 1), sfm=(0, 0, True),
+                                     g_value=3.0, m_plus=[0, 0, 0], m_minus_counts=[1, 1, 1]))
 
 
 def test_witness_feeds_each_implication_once(monkeypatch):
